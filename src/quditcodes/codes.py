@@ -19,8 +19,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum, multinomial
 from .combinatorics import (OccupationVector, TailOrbit, canonical_representative,
-                            expand_orbit, is_effectively_sparse, tail_orbit, weight)
-from .operators import StateVector, apply_logical_x
+                            cyclic_shift, expand_orbit, is_effectively_sparse,
+                            tail_orbit, weight)
+from .operators import StateVector
 
 
 @dataclass(frozen=True)
@@ -58,18 +59,22 @@ class ValidationReport:
             self.witnesses[name] = witness
 
 
-def codeword(code: Code, k: int, exact: bool = True) -> StateVector:
-    """|k-bar> = (logical shift)**k applied to the zero code word."""
+def codeword_orbits(code: Code, k: int) -> Dict[OccupationVector, int]:
+    """The support of |k-bar>: each occupation vector mapped to the index of
+    the orbit whose amplitude it carries."""
     if not code.orbits:
         raise InvalidInputError("code has no support orbits")
-    terms = {}
-    for entry in code.orbits:
-        amp = (ExactComplex.real(entry.amplitude) if exact
-               else complex(entry.amplitude.to_float()))
-        for member in expand_orbit(entry.representative):
-            terms[member] = amp
-    zero = StateVector(code.d, code.N, terms, exact)
-    return apply_logical_x(zero, k) if k % code.d else zero
+    return {cyclic_shift(member, k): o
+            for o, entry in enumerate(code.orbits)
+            for member in expand_orbit(entry.representative)}
+
+
+def codeword(code: Code, k: int) -> StateVector:
+    """|k-bar> = (logical shift)**k applied to the zero code word."""
+    amplitudes = [ExactComplex.real(entry.amplitude) for entry in code.orbits]
+    return StateVector(code.d, code.N,
+                       {u: amplitudes[o]
+                        for u, o in codeword_orbits(code, k).items()})
 
 
 def validate(code: Code) -> ValidationReport:

@@ -9,10 +9,12 @@ permutation-invariant code words carry one amplitude per tail orbit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from sympy.utilities.iterables import multiset_permutations
 
 from .arith import InvalidInputError
 
@@ -77,10 +79,16 @@ def tail_orbit(u: Sequence[int]) -> TailOrbit:
 
 
 def expand_orbit(rep: Sequence[int]) -> List[OccupationVector]:
-    """All distinct rearrangements of entries 1..d-1 (entry 0 fixed)."""
-    head, tail = rep[0], tuple(rep[1:])
-    members = sorted({(head,) + perm for perm in itertools.permutations(tail)})
-    return members
+    """All distinct rearrangements of entries 1..d-1 (entry 0 fixed), sorted."""
+    return list(_orbit_members(tuple(rep)))
+
+
+@lru_cache(maxsize=4096)
+def _orbit_members(rep: OccupationVector) -> Tuple[OccupationVector, ...]:
+    # Distinct tail rearrangements only: the orbit size, not (d-1)!.
+    head = rep[0]
+    return tuple(sorted((head,) + tuple(perm)
+                        for perm in multiset_permutations(rep[1:])))
 
 
 def iter_support_representatives(d: int, N: int) -> Iterator[OccupationVector]:

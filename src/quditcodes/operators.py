@@ -19,12 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .arith import ExactComplex, InvalidInputError, multinomial
 from .combinatorics import OccupationVector, cyclic_shift, weight
-
-Amplitude = Union[ExactComplex, complex]
 
 
 @dataclass(frozen=True)
@@ -67,56 +65,44 @@ class StateVector:
     """Sparse vector in the symmetric subspace, keyed by occupation vector.
 
     The basis is orthogonal but not orthonormal: <S_u|S_u> equals the
-    multinomial coefficient of u.  Amplitudes are ExactComplex in exact
-    mode or Python complex in float mode; zero amplitudes are never stored.
+    multinomial coefficient of u.  Amplitudes are ExactComplex; zero
+    amplitudes are never stored.
     """
 
-    __slots__ = ("d", "N", "terms", "exact")
+    __slots__ = ("d", "N", "terms")
 
     def __init__(self, d: int, N: int,
-                 terms: Mapping[OccupationVector, Amplitude],
-                 exact: bool = True):
+                 terms: Mapping[OccupationVector, ExactComplex]):
         self.d = d
         self.N = N
-        self.exact = exact
-        self.terms: Dict[OccupationVector, Amplitude] = {
-            u: a for u, a in terms.items() if not _is_zero(a)
+        self.terms: Dict[OccupationVector, ExactComplex] = {
+            u: a for u, a in terms.items() if not a.is_zero()
         }
 
     @classmethod
-    def zero(cls, d: int, N: int, exact: bool = True) -> "StateVector":
-        return cls(d, N, {}, exact)
-
-    @classmethod
-    def basis(cls, u: OccupationVector, exact: bool = True) -> "StateVector":
-        one: Amplitude = ExactComplex.ONE if exact else complex(1.0)
-        return cls(len(u), sum(u), {tuple(u): one}, exact)
+    def basis(cls, u: OccupationVector) -> "StateVector":
+        return cls(len(u), sum(u), {tuple(u): ExactComplex.ONE})
 
     def __add__(self, other: "StateVector") -> "StateVector":
         self._check_compatible(other)
         terms = dict(self.terms)
         for u, a in other.terms.items():
             terms[u] = terms[u] + a if u in terms else a
-        return StateVector(self.d, self.N, terms, self.exact)
+        return StateVector(self.d, self.N, terms)
 
     def scaled(self, factor) -> "StateVector":
         return StateVector(self.d, self.N,
-                           {u: a * factor for u, a in self.terms.items()},
-                           self.exact)
+                           {u: a * factor for u, a in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def _check_compatible(self, other: "StateVector") -> None:
-        if (self.d, self.N, self.exact) != (other.d, other.N, other.exact):
+        if (self.d, self.N) != (other.d, other.N):
             raise InvalidInputError("state vectors live in different spaces")
 
     def __repr__(self) -> str:
         return f"StateVector(d={self.d}, N={self.N}, {len(self.terms)} terms)"
-
-
-def _is_zero(a: Amplitude) -> bool:
-    return a.is_zero() if isinstance(a, ExactComplex) else a == 0
 
 
 def _bump(u: OccupationVector, up: int, down: int) -> Optional[OccupationVector]:
@@ -128,6 +114,32 @@ def _bump(u: OccupationVector, up: int, down: int) -> Optional[OccupationVector]
     return tuple(v)
 
 
+def generator_action(op: ErrorOperator, u: OccupationVector
+                     ) -> List[Tuple[OccupationVector, int, int]]:
+    """op|S_u> as terms (v, re, im): |S_v> with coefficient re + i*im.
+
+    The one copy of the action formulas in the module docstring.  Each
+    coefficient is real (I, S, D) or imaginary (A), and zero coefficients
+    are left out.
+    """
+    if op.kind == "I":
+        return [(u, 1, 0)]
+    if op.kind == "D":
+        c = u[op.j] - u[op.j + 1]
+        return [(u, c, 0)] if c else []
+    p, q = op.j, op.k
+    terms = []
+    v = _bump(u, p, q)   # gains at p, loses at q
+    if v is not None:
+        c = u[p] + 1
+        terms.append((v, c, 0) if op.kind == "S" else (v, 0, -c))
+    w = _bump(u, q, p)
+    if w is not None:
+        c = u[q] + 1
+        terms.append((w, c, 0) if op.kind == "S" else (w, 0, c))
+    return terms
+
+
 def apply_generator(op: ErrorOperator, psi: StateVector) -> StateVector:
     """Apply one error-basis element to a state, term by term."""
     if op.kind == "I":
@@ -136,38 +148,18 @@ def apply_generator(op: ErrorOperator, psi: StateVector) -> StateVector:
         raise InvalidInputError(f"unknown operator kind {op.kind!r}")
     if max(op.j, op.k) >= psi.d:
         raise InvalidInputError(f"operator {op.name()} does not fit d={psi.d}")
-    out: Dict[OccupationVector, Amplitude] = {}
-
-    def add(u: Optional[OccupationVector], a: Amplitude) -> None:
-        if u is None or _is_zero(a):
-            return
-        out[u] = out[u] + a if u in out else a
-
+    out: Dict[OccupationVector, ExactComplex] = {}
     for u, amp in psi.terms.items():
-        if op.kind == "D":
-            add(u, amp * (u[op.j] - u[op.j + 1]))
-            continue
-        p, q = op.j, op.k
-        v = _bump(u, p, q)   # gains at p, loses at q
-        w = _bump(u, q, p)
-        if op.kind == "S":
-            add(v, amp * (u[p] + 1))
-            add(w, amp * (u[q] + 1))
-        else:  # A
-            if psi.exact:
-                add(v, amp.times_i(-(u[p] + 1)))
-                add(w, amp.times_i(u[q] + 1))
-            else:
-                add(v, amp * (-1j) * (u[p] + 1))
-                add(w, amp * 1j * (u[q] + 1))
-    return StateVector(psi.d, psi.N, out, psi.exact)
+        for v, re, im in generator_action(op, u):
+            term = amp.times_i(im) if im else amp * re
+            out[v] = out[v] + term if v in out else term
+    return StateVector(psi.d, psi.N, out)
 
 
 def apply_logical_x(psi: StateVector, a: int) -> StateVector:
     """Relabel every basis vector by the a-th power of the logical shift."""
     return StateVector(psi.d, psi.N,
-                       {cyclic_shift(u, a): amp for u, amp in psi.terms.items()},
-                       psi.exact)
+                       {cyclic_shift(u, a): amp for u, amp in psi.terms.items()})
 
 
 def z_eigenexponent(u: OccupationVector) -> int:
@@ -176,28 +168,25 @@ def z_eigenexponent(u: OccupationVector) -> int:
 
 
 @lru_cache(maxsize=65536)
-def _norm_int(u: OccupationVector) -> int:
+def basis_norm(u: OccupationVector) -> int:
+    """<S_u|S_u>: the multinomial coefficient of u."""
     return multinomial(sum(u), u).value()
 
 
-def inner_product(phi: StateVector, psi: StateVector) -> Amplitude:
+def inner_product(phi: StateVector, psi: StateVector) -> ExactComplex:
     """<phi|psi> = sum_u conj(amp_phi) * amp_psi * <S_u|S_u>."""
     phi._check_compatible(psi)
     small, large = (phi, psi) if len(phi.terms) <= len(psi.terms) else (psi, phi)
-    total: Amplitude = ExactComplex.ZERO if phi.exact else complex(0.0)
+    total = ExactComplex.ZERO
     for u, a in small.terms.items():
         b = large.terms.get(u)
         if b is None:
             continue
         if small is phi:
-            total = total + _conj(a) * b * _norm_int(u)
+            total = total + a.conjugate() * b * basis_norm(u)
         else:
-            total = total + _conj(b) * a * _norm_int(u)
+            total = total + b.conjugate() * a * basis_norm(u)
     return total
-
-
-def _conj(a: Amplitude) -> Amplitude:
-    return a.conjugate()
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +253,7 @@ def _pair_flipped(a: int, b: int) -> bool:
 def _states_equal(a: StateVector, b: StateVector) -> bool:
     if set(a.terms) != set(b.terms):
         return False
-    return all((a.terms[u] - b.terms[u]).is_zero() if a.exact
-               else a.terms[u] == b.terms[u] for u in a.terms)
+    return all((a.terms[u] - b.terms[u]).is_zero() for u in a.terms)
 
 
 def _check_clock_conjugation(u: OccupationVector, j: int, k: int

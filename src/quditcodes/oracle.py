@@ -10,15 +10,14 @@ with no combinatorial shortcuts.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from sympy.utilities.iterables import multiset_permutations
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum, multinomial
 from .codes import Code
 from .combinatorics import OccupationVector, expand_orbit
-from .operators import Amplitude, ErrorOperator, StateVector, error_basis
+from .operators import ErrorOperator, StateVector, error_basis
 from .verifier import KLReport, Violation
 
 DEFAULT_TERM_CAP = 200_000
@@ -29,41 +28,35 @@ DigitString = bytes
 class DigitStringState:
     """Sparse vector over length-N digit strings."""
 
-    __slots__ = ("d", "N", "terms", "exact")
+    __slots__ = ("d", "N", "terms")
 
     def __init__(self, d: int, N: int,
-                 terms: Mapping[DigitString, Amplitude], exact: bool = True):
+                 terms: Mapping[DigitString, ExactComplex]):
         self.d = d
         self.N = N
-        self.exact = exact
-        self.terms: Dict[DigitString, Amplitude] = {
-            s: a for s, a in terms.items() if not _is_zero(a)
+        self.terms: Dict[DigitString, ExactComplex] = {
+            s: a for s, a in terms.items() if not a.is_zero()
         }
 
     def __add__(self, other: "DigitStringState") -> "DigitStringState":
         terms = dict(self.terms)
         for s, a in other.terms.items():
             terms[s] = terms[s] + a if s in terms else a
-        return DigitStringState(self.d, self.N, terms, self.exact)
+        return DigitStringState(self.d, self.N, terms)
 
     def scaled(self, factor) -> "DigitStringState":
         return DigitStringState(
-            self.d, self.N, {s: a * factor for s, a in self.terms.items()},
-            self.exact)
+            self.d, self.N, {s: a * factor for s, a in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
-
-
-def _is_zero(a: Amplitude) -> bool:
-    return a.is_zero() if isinstance(a, ExactComplex) else a == 0
 
 
 def occupation_of(string: DigitString, d: int) -> OccupationVector:
     return tuple(string.count(x) for x in range(d))
 
 
-def dense_symmetric_vector(u: Iterable[int], exact: bool = True,
+def dense_symmetric_vector(u: Iterable[int],
                            term_cap: int = DEFAULT_TERM_CAP) -> DigitStringState:
     """Amplitude 1 on every distinct rearrangement of the multiset of u."""
     u = tuple(u)
@@ -73,12 +66,12 @@ def dense_symmetric_vector(u: Iterable[int], exact: bool = True,
         raise InvalidInputError(
             f"{count} rearrangements of {u} exceed the term cap {term_cap}")
     digits = [x for x, n in enumerate(u) for _ in range(n)]
-    one: Amplitude = ExactComplex.ONE if exact else complex(1.0)
-    terms = {bytes(perm): one for perm in multiset_permutations(digits, N)}
-    return DigitStringState(d, N, terms, exact)
+    terms = {bytes(perm): ExactComplex.ONE
+             for perm in multiset_permutations(digits, N)}
+    return DigitStringState(d, N, terms)
 
 
-def _site_matrix(op: ErrorOperator, exact: bool) -> Dict[int, List[Tuple[int, int]]]:
+def _site_matrix(op: ErrorOperator) -> Dict[int, List[Tuple[int, int]]]:
     """column digit -> [(row digit, phase code)]; phase codes 0..3 mean i**code."""
     if op.kind == "S":
         return {op.k: [(op.j, 0)], op.j: [(op.k, 0)]}
@@ -90,15 +83,13 @@ def _site_matrix(op: ErrorOperator, exact: bool) -> Dict[int, List[Tuple[int, in
     raise InvalidInputError(f"no site matrix for {op.name()}")
 
 
-def _phased(amp: Amplitude, code: int, exact: bool, memo: dict) -> Amplitude:
+def _phased(amp: ExactComplex, code: int, memo: dict) -> ExactComplex:
     if code == 0:
         return amp
     key = (id(amp), code)
     cached = memo.get(key)
     if cached is None:
-        if not exact:
-            cached = amp * (1j ** code)
-        elif code == 2:
+        if code == 2:
             cached = -amp
         else:
             cached = amp.times_i(1 if code == 1 else -1)
@@ -111,9 +102,9 @@ def dense_apply(op: ErrorOperator, state: DigitStringState,
     """Sum of the single-site matrix applied at each of the N sites."""
     if op.kind == "I":
         return state
-    matrix = _site_matrix(op, state.exact)
+    matrix = _site_matrix(op)
     columns = set(matrix)
-    out: Dict[DigitString, Amplitude] = {}
+    out: Dict[DigitString, ExactComplex] = {}
     memo: dict = {}
     for string, amp in state.terms.items():
         for site, digit in enumerate(string):
@@ -121,11 +112,11 @@ def dense_apply(op: ErrorOperator, state: DigitStringState,
                 continue
             for row, phase in matrix[digit]:
                 new = string[:site] + bytes((row,)) + string[site + 1:]
-                contrib = _phased(amp, phase, state.exact, memo)
+                contrib = _phased(amp, phase, memo)
                 out[new] = out[new] + contrib if new in out else contrib
     if len(out) > term_cap:
         raise InvalidInputError(f"dense apply exceeded term cap {term_cap}")
-    return DigitStringState(state.d, state.N, out, state.exact)
+    return DigitStringState(state.d, state.N, out)
 
 
 def dense_relabel(state: DigitStringState, a: int) -> DigitStringState:
@@ -134,12 +125,12 @@ def dense_relabel(state: DigitStringState, a: int) -> DigitStringState:
     table = bytes((x + a) % d if x < d else x for x in range(256))
     return DigitStringState(
         d, state.N,
-        {string.translate(table): amp for string, amp in state.terms.items()},
-        state.exact)
+        {string.translate(table): amp for string, amp in state.terms.items()})
 
 
-def dense_inner_product(phi: DigitStringState, psi: DigitStringState) -> Amplitude:
-    total: Amplitude = ExactComplex.ZERO if phi.exact else complex(0.0)
+def dense_inner_product(phi: DigitStringState, psi: DigitStringState
+                        ) -> ExactComplex:
+    total = ExactComplex.ZERO
     small, large = (phi, psi) if len(phi.terms) <= len(psi.terms) else (psi, phi)
     for s, a in small.terms.items():
         b = large.terms.get(s)
@@ -155,9 +146,9 @@ def dense_inner_product(phi: DigitStringState, psi: DigitStringState) -> Amplitu
 def dense_expand(psi: StateVector,
                  term_cap: int = DEFAULT_TERM_CAP) -> DigitStringState:
     """Digit-string expansion of an occupation-keyed state (for comparisons)."""
-    out = DigitStringState(psi.d, psi.N, {}, psi.exact)
+    out = DigitStringState(psi.d, psi.N, {})
     for u, amp in psi.terms.items():
-        out = out + dense_symmetric_vector(u, psi.exact, term_cap).scaled(amp)
+        out = out + dense_symmetric_vector(u, term_cap=term_cap).scaled(amp)
     return out
 
 
@@ -168,23 +159,21 @@ def states_agree(dense: DigitStringState, sparse: StateVector,
     if set(expanded.terms) != set(dense.terms):
         return False
     for s, a in dense.terms.items():
-        diff = a - expanded.terms[s]
-        if not _is_zero(diff):
+        if not (a - expanded.terms[s]).is_zero():
             return False
     return True
 
 
-def dense_codewords(code: Code, exact: bool = True,
+def dense_codewords(code: Code,
                     term_cap: int = DEFAULT_TERM_CAP) -> List[DigitStringState]:
-    terms: Dict[DigitString, Amplitude] = {}
+    terms: Dict[DigitString, ExactComplex] = {}
     for entry in code.orbits:
-        amp = (ExactComplex.real(entry.amplitude) if exact
-               else complex(entry.amplitude.to_float()))
+        amp = ExactComplex.real(entry.amplitude)
         for member in expand_orbit(entry.representative):
-            vec = dense_symmetric_vector(member, exact, term_cap)
+            vec = dense_symmetric_vector(member, term_cap)
             for s in vec.terms:
                 terms[s] = amp
-    zero = DigitStringState(code.d, code.N, terms, exact)
+    zero = DigitStringState(code.d, code.N, terms)
     return [dense_relabel(zero, k) if k else zero for k in range(code.d)]
 
 
@@ -218,7 +207,7 @@ def _vector_apply(op: ErrorOperator, state: Dict[bytes, tuple],
                   width: int) -> Dict[bytes, tuple]:
     if op.kind == "I":
         return state
-    matrix = _site_matrix(op, True)
+    matrix = _site_matrix(op)
     columns = set(matrix)
     out: Dict[bytes, tuple] = {}
     for string, z in state.items():

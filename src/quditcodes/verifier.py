@@ -7,22 +7,27 @@ the four sufficient conditions that Heisenberg-Weyl symmetry leaves over
 (single dit flips from symbol 0, all double flips, and the last phase
 difference alone and squared).  Level "qf" checks the three scalar
 quadratic forms that suffice for sparse doubly permutation-invariant
-codes.
+codes.  All three levels evaluate their elements with one sparse Gram
+engine over Gaussian-integer slot vectors; see `_Gram`.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
-from .arith import ExactComplex, InvalidInputError
-from .codes import Code, codeword, validate
-from .operators import (Amplitude, ErrorOperator, StateVector, apply_generator,
-                        error_basis, inner_product)
+from .arith import ExactComplex, InvalidInputError, RadicalSum
+from .codes import Code, codeword_orbits, validate
+from .combinatorics import OccupationVector
+from .operators import ErrorOperator, basis_norm, error_basis, generator_action
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_D = 13
 DEFAULT_MAX_N = 64
+
+# Exact elements, or their complex values in float mode.
+Amplitude = Union[ExactComplex, complex]
 
 
 @dataclass(frozen=True)
@@ -36,6 +41,17 @@ class Violation:
 
 @dataclass
 class KLReport:
+    """Outcome of one verification level.
+
+    Every evaluated element <i|Ea Eb|j> is counted in `checked_elements`.
+    A zero is *structural* when the images Ea|i> and Eb|j> share no basis
+    vector, counting only basis vectors whose coefficient is not zero as an
+    integer combination of the orbit amplitudes; such an element is zero
+    whatever the amplitudes are.  A zero is *arithmetic* when the images
+    do share a basis vector and the terms cancel for this code's
+    amplitudes (exactly in exact mode, within `tolerance` in float mode).
+    """
+
     level: str
     mode: str
     tolerance: float
@@ -76,43 +92,103 @@ class KLReport:
         }
 
 
-class _Checker:
-    """Shared element evaluation over precomputed generator images."""
+# A slot vector holds one Gaussian integer (re, im) per orbit, flattened to
+# (re_0, im_0, re_1, im_1, ...): the coefficient of a basis vector is
+# sum_o (re_o + i*im_o) * alpha_o.
+SlotVector = Tuple[int, ...]
 
-    def __init__(self, code: Code, level: str, mode: str, tolerance: float):
-        exact = mode == "exact"
+
+def _slot_image(op: ErrorOperator, word: Dict[OccupationVector, int],
+                width: int) -> Dict[OccupationVector, SlotVector]:
+    """op applied to a code word given as occupation vector -> orbit index."""
+    out: Dict[OccupationVector, List[int]] = {}
+    for u, o in word.items():
+        for v, re, im in generator_action(op, u):
+            slots = out.get(v)
+            if slots is None:
+                slots = out[v] = [0] * width
+            slots[2 * o] += re
+            slots[2 * o + 1] += im
+    return {v: tuple(z) for v, z in out.items() if any(z)}
+
+
+class _Gram:
+    """Every <Ea i|Eb j> over one set of operators, by an image-index join.
+
+    Each operator is applied once to each code word.  An index from
+    occupation vector to the image terms holding it gives, for every pair
+    of images that share a key, the integer sums
+    sum_u <S_u|S_u> conj(a_o(u)) b_p(u) per orbit pair (o, p).  An element
+    is then sum_{o,p} alpha_o alpha_p sums[o][p], so radicals enter once
+    per element whose images overlap; an image pair with no shared key is
+    a structural zero and never reaches the arithmetic.
+    """
+
+    def __init__(self, code: Code, level: str, mode: str, tolerance: float,
+                 ops: Sequence[ErrorOperator]):
         self.d = code.d
         self.report = KLReport(level, mode, tolerance)
-        self.codewords = [codeword(code, k, exact) for k in range(code.d)]
-        self._images: Dict[ErrorOperator, List[StateVector]] = {}
+        self.float_mode = mode == "float"
+        self.zero: Amplitude = complex(0.0) if self.float_mode else ExactComplex.ZERO
+        alphas = [entry.amplitude for entry in code.orbits]
+        self.products = [a * b for a in alphas for b in alphas]
+        k = len(alphas)
+        words = [codeword_orbits(code, i) for i in range(code.d)]
+        self.op_index = {op: n for n, op in enumerate(ops)}
 
-    def images(self, op: ErrorOperator) -> List[StateVector]:
-        if op not in self._images:
-            self._images[op] = [apply_generator(op, cw) for cw in self.codewords]
-        return self._images[op]
+        index: Dict[OccupationVector, list] = defaultdict(list)
+        for n, op in enumerate(ops):
+            for i, word in enumerate(words):
+                for u, z in _slot_image(op, word, 2 * k).items():
+                    index[u].append(((n, i), z))
+        self.sums: Dict[tuple, List[int]] = {}
+        for u, entries in index.items():
+            norm = basis_norm(u)
+            for a, za in entries:
+                for b, zb in entries:
+                    acc = self.sums.get((a, b))
+                    if acc is None:
+                        acc = self.sums[(a, b)] = [0] * (2 * k * k)
+                    _accumulate(acc, za, zb, norm, k)
+        # Operator pairs with at least one image pair sharing a key.
+        self.overlapping = {(a[0], b[0]) for a, b in self.sums}
 
-    def element(self, ea: ErrorOperator, eb: ErrorOperator, i: int, j: int
-                ) -> Amplitude:
-        # Every basis element is Hermitian, so <i|Ea Eb|j> = (Ea|i>, Eb|j>).
-        phi = self.images(ea)[i]
-        psi = self.images(eb)[j]
-        value = inner_product(phi, psi)
-        self.report.checked_elements += 1
-        if self._is_zero(value):
-            if set(phi.terms) & set(psi.terms):
-                self.report.arithmetic_zeros += 1
-            else:
-                self.report.structural_zeros += 1
-        return value
-
-    def _is_zero(self, value: Amplitude) -> bool:
+    def is_zero(self, value: Amplitude) -> bool:
         if isinstance(value, ExactComplex):
             return value.is_zero()
         return abs(value) <= self.report.tolerance
 
+    def element(self, ea: ErrorOperator, eb: ErrorOperator, i: int, j: int
+                ) -> Amplitude:
+        # Every basis element is Hermitian, so <i|Ea Eb|j> = (Ea|i>, Eb|j>).
+        self.report.checked_elements += 1
+        sums = self.sums.get(((self.op_index[ea], i), (self.op_index[eb], j)))
+        if sums is None:
+            self.report.structural_zeros += 1
+            return self.zero
+        re = RadicalSum.zero()
+        im = RadicalSum.zero()
+        for n, product in enumerate(self.products):
+            if sums[2 * n]:
+                re = re + product * sums[2 * n]
+            if sums[2 * n + 1]:
+                im = im + product * sums[2 * n + 1]
+        value = ExactComplex(re, im)
+        if self.float_mode:
+            value = value.to_complex()
+        if self.is_zero(value):
+            self.report.arithmetic_zeros += 1
+        return value
+
     def check_pair(self, ea: ErrorOperator, eb: ErrorOperator) -> None:
         """Off-diagonals vanish; diagonals match the first code word."""
         name = (ea.name(), eb.name())
+        if (self.op_index[ea], self.op_index[eb]) not in self.overlapping:
+            # All d**2 elements are structural zeros: constant 0, no violation.
+            self.report.checked_elements += self.d ** 2
+            self.report.structural_zeros += self.d ** 2
+            self.report.constants[name] = self.zero
+            return
         constant = self.element(ea, eb, 0, 0)
         self.report.constants[name] = constant
         for i in range(self.d):
@@ -121,18 +197,33 @@ class _Checker:
                     continue
                 value = self.element(ea, eb, i, j)
                 if i != j:
-                    if not self._is_zero(value):
+                    if not self.is_zero(value):
                         self.report.violations.append(
                             Violation(*name, i, j, value))
-                elif not self._is_zero(value - constant):
+                elif not self.is_zero(value - constant):
                     self.report.violations.append(Violation(*name, i, j, value))
 
     def require_zero(self, ea: ErrorOperator, eb: ErrorOperator,
                      i: int, j: int) -> None:
         value = self.element(ea, eb, i, j)
-        if not self._is_zero(value):
+        if not self.is_zero(value):
             self.report.violations.append(
                 Violation(ea.name(), eb.name(), i, j, value))
+
+
+def _accumulate(acc: List[int], za: SlotVector, zb: SlotVector, norm: int,
+                k: int) -> None:
+    """acc[o][p] += norm * conj(za[o]) * zb[p], as flat (re, im) pairs."""
+    for o in range(k):
+        ra, ia = za[2 * o], za[2 * o + 1]
+        if not (ra or ia):
+            continue
+        n = 2 * k * o
+        for p in range(k):
+            rb, ib = zb[2 * p], zb[2 * p + 1]
+            if rb or ib:
+                acc[n + 2 * p] += norm * (ra * rb + ia * ib)
+                acc[n + 2 * p + 1] += norm * (ra * ib - ia * rb)
 
 
 def _check_scale(code: Code, max_d: int, max_n: int) -> None:
@@ -145,8 +236,8 @@ def kl_full(code: Code, mode: str = "exact", tolerance: float = DEFAULT_TOLERANC
             max_d: int = DEFAULT_MAX_D, max_n: int = DEFAULT_MAX_N) -> KLReport:
     """All ordered pairs of error-basis elements over all code-word pairs."""
     _check_scale(code, max_d, max_n)
-    checker = _Checker(code, "full", mode, tolerance)
     basis = error_basis(code.d)
+    checker = _Gram(code, "full", mode, tolerance, basis)
     for ea in basis:
         for eb in basis:
             checker.check_pair(ea, eb)
@@ -161,7 +252,7 @@ def kl_reduced(code: Code, mode: str = "exact",
     D(l)D(d-2)."""
     _check_scale(code, max_d, max_n)
     d = code.d
-    checker = _Checker(code, "reduced", mode, tolerance)
+    checker = _Gram(code, "reduced", mode, tolerance, error_basis(d))
     identity = ErrorOperator("I")
 
     # Single dit flips from symbol 0, off-diagonal elements only.
@@ -202,14 +293,14 @@ def qf_check(code: Code, mode: str = "exact",
             "quadratic-form check requires a normalized, weight-zero, "
             f"effectively sparse orbit-keyed code; failed checks: {failed}")
     d = code.d
-    checker = _Checker(code, "qf", mode, tolerance)
     identity = ErrorOperator("I")
     last = ErrorOperator("D", d - 2)
     flip = ErrorOperator("S", 0, 1)
+    checker = _Gram(code, "qf", mode, tolerance, (identity, last, flip))
 
     qf1 = checker.element(identity, last, d - 1, d - 1)
     checker.report.constants[("I", last.name())] = qf1
-    if not checker._is_zero(qf1):
+    if not checker.is_zero(qf1):
         checker.report.violations.append(
             Violation("I", last.name(), d - 1, d - 1, qf1))
 
@@ -217,7 +308,7 @@ def qf_check(code: Code, mode: str = "exact",
         lhs = checker.element(ea, eb, 0, 0)
         rhs = checker.element(ea, eb, d - 1, d - 1)
         checker.report.constants[(ea.name(), eb.name())] = lhs
-        if not checker._is_zero(lhs - rhs):
+        if not checker.is_zero(lhs - rhs):
             checker.report.violations.append(
                 Violation(ea.name(), eb.name(), d - 1, d - 1, rhs))
     return checker.report

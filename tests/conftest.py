@@ -16,3 +16,16 @@ def shipped_code(name: str) -> Code:
 @pytest.fixture(scope="session")
 def corpus():
     return {name: shipped_code(name) for name in SHIPPED}
+
+
+def reports_identical(a, b):
+    """Field-for-field equality of two KL reports, exact values by repr."""
+    if (a.passed, a.checked_elements, a.structural_zeros,
+            a.arithmetic_zeros) != (b.passed, b.checked_elements,
+                                    b.structural_zeros, b.arithmetic_zeros):
+        return False
+    if {k: repr(v) for k, v in a.constants.items()} != \
+            {k: repr(v) for k, v in b.constants.items()}:
+        return False
+    return {(v.e, v.f, v.i, v.j): repr(v.value) for v in a.violations} == \
+        {(v.e, v.f, v.i, v.j): repr(v.value) for v in b.violations}

@@ -30,7 +30,7 @@ from quditcodes.solver import (build_qf_system, family_code, search,
                                solve_system)
 from quditcodes.verifier import kl_full, kl_reduced, qf_check
 
-from conftest import shipped_code
+from conftest import reports_identical, shipped_code
 
 QUTRIT_SUPPORT = ((13, 0, 0), (4, 9, 0), (3, 5, 5))
 
@@ -187,18 +187,6 @@ def test_criterion_07_oracle_gate(capsys):
     announce(capsys, 7, "action formulas vs dense oracle", ok and elapsed < 60,
              elapsed)
     assert ok and elapsed < 60
-
-
-def reports_identical(a, b):
-    if (a.passed, a.checked_elements, a.structural_zeros,
-            a.arithmetic_zeros) != (b.passed, b.checked_elements,
-                                    b.structural_zeros, b.arithmetic_zeros):
-        return False
-    if {k: repr(v) for k, v in a.constants.items()} != \
-            {k: repr(v) for k, v in b.constants.items()}:
-        return False
-    return {(v.e, v.f, v.i, v.j): repr(v.value) for v in a.violations} == \
-        {(v.e, v.f, v.i, v.j): repr(v.value) for v in b.violations}
 
 
 def test_criterion_08_dense_full_check_equivalence(capsys):

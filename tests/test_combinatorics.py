@@ -60,13 +60,21 @@ def test_canonical_representative_idempotent(u):
     assert rep[0] == u[0] and sorted(rep[1:]) == sorted(u[1:])
 
 
-@given(occupations(5, 6))
+# Tails drawn from few values, so most of them repeat entries.
+orbit_inputs = st.one_of(occupations(5, 6),
+                         *(occupations(d, 2) for d in (3, 5, 7)))
+
+
+@given(orbit_inputs)
 def test_orbit_size_matches_expansion(u):
     orbit = tail_orbit(u)
     members = expand_orbit(orbit.representative)
     assert len(members) == orbit.size
     assert all(m[0] == u[0] for m in members)
     assert tuple(u) in members
+    tail = orbit.representative[1:]
+    assert members == sorted({(u[0],) + perm
+                              for perm in itertools.permutations(tail)})
 
 
 def test_qutrit_orbit_sizes():

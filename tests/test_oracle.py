@@ -12,27 +12,13 @@ from quditcodes.oracle import (dense_apply, dense_codewords, dense_expand,
                                states_agree)
 from quditcodes.verifier import kl_full
 
-from conftest import shipped_code
+from conftest import reports_identical, shipped_code
 
 
 def tiny_code():
     # One orbit, exactly normalized: d=3, N=4, support {(4,0,0)}.  It is a
     # valid (if useless) input whose reports are cheap to compare.
     return Code(3, 4, 1, (OrbitAmplitude((4, 0, 0), RadicalSum.of(1)),))
-
-
-def reports_identical(a, b):
-    if (a.passed, a.checked_elements, a.structural_zeros,
-            a.arithmetic_zeros) != (b.passed, b.checked_elements,
-                                    b.structural_zeros, b.arithmetic_zeros):
-        return False
-    ka = {k: repr(v) for k, v in a.constants.items()}
-    kb = {k: repr(v) for k, v in b.constants.items()}
-    if ka != kb:
-        return False
-    va = {(v.e, v.f, v.i, v.j): repr(v.value) for v in a.violations}
-    vb = {(v.e, v.f, v.i, v.j): repr(v.value) for v in b.violations}
-    return va == vb
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +105,48 @@ def test_dense_kl_matches_combinatorial_on_tampered_tiny_code():
     sparse = kl_full(code)
     assert not dense.passed
     assert reports_identical(dense, sparse)
+
+
+# Two-orbit d=3 codes whose amplitudes are rationally related, so that some
+# image terms cancel exactly for these amplitudes but not for others.  Both
+# checkers must call such an element an arithmetic zero, not a structural
+# one: a structural zero is one that holds whatever the amplitudes are.
+RELATED_AMPLITUDE_CODES = [
+    (3, (0, 2, 1), (0, 3, 0), Fraction(1, 2)),
+    (3, (0, 2, 1), (2, 1, 0), Fraction(1)),
+    (3, (0, 3, 0), (2, 1, 0), Fraction(2)),
+    (4, (0, 2, 2), (0, 4, 0), Fraction(1, 3)),
+    (4, (1, 2, 1), (1, 3, 0), Fraction(1, 2)),
+    (4, (1, 2, 1), (3, 1, 0), Fraction(1, 2)),
+    (5, (0, 3, 2), (2, 2, 1), Fraction(2)),
+    (5, (0, 3, 2), (2, 3, 0), Fraction(1)),
+    (5, (0, 4, 1), (2, 2, 1), Fraction(3)),
+    (5, (0, 5, 0), (2, 3, 0), Fraction(4)),
+    (5, (1, 2, 2), (1, 4, 0), Fraction(1, 3)),
+    (5, (2, 2, 1), (2, 3, 0), Fraction(1, 2)),
+    (5, (2, 2, 1), (4, 1, 0), Fraction(1, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "N, first, second, ratio", RELATED_AMPLITUDE_CODES,
+    ids=[f"N{N}-{''.join(map(str, u))}-{''.join(map(str, v))}-"
+         f"{r.numerator}over{r.denominator}"
+         for N, u, v, r in RELATED_AMPLITUDE_CODES])
+def test_dense_kl_matches_combinatorial_on_related_amplitudes(N, first, second,
+                                                              ratio):
+    code = Code(3, N, N % 3 or 1,
+                (OrbitAmplitude(first, RadicalSum.of(ratio)),
+                 OrbitAmplitude(second, RadicalSum.of(1))))
+    assert reports_identical(kl_full(code), dense_kl(code))
+
+
+def test_dense_kl_matches_combinatorial_when_image_terms_cancel():
+    # A(1,2) sends both members (1,2,0) and (1,0,2) of the one orbit to
+    # (1,1,1), with coefficients +i and -i: that key drops out of the image
+    # for every amplitude, so it must not count as an overlap.
+    code = Code(3, 3, 1, (OrbitAmplitude((1, 2, 0), RadicalSum.of(1)),))
+    assert reports_identical(kl_full(code), dense_kl(code))
 
 
 def test_dense_kl_term_cap():

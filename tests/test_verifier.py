@@ -4,6 +4,7 @@ import pytest
 
 from quditcodes.arith import InvalidInputError
 from quditcodes.codes import Code
+from quditcodes.solver import family_code
 from quditcodes.verifier import (kl_full, kl_reduced, qf_check, run_level)
 
 
@@ -54,6 +55,21 @@ def test_structural_and_arithmetic_zeros_are_tracked(corpus):
     assert report.checked_elements == 729
     assert report.structural_zeros == 642
     assert report.arithmetic_zeros == 30
+
+
+def test_full_check_counts_on_family_d11():
+    code, _ = family_code(11)
+    report = kl_full(code, max_n=128)
+    assert report.passed
+    assert (report.checked_elements, report.structural_zeros,
+            report.arithmetic_zeros) == (1_771_561, 1_768_314, 1_718)
+
+
+def test_full_check_passes_on_family_d13():
+    code, _ = family_code(13)
+    report = kl_full(code, max_n=144)
+    assert report.passed
+    assert report.checked_elements == 13 ** 6
 
 
 # ---------------------------------------------------------------------------
