@@ -1,313 +1,237 @@
-"""Brute-force reference implementation over explicit digit strings.
+"""Independent dense checker over explicit digit strings.
 
-Everything here works in the full N-site computational basis (strings of
-base-d digits), deriving operator actions from the single-site matrices
-alone.  It deliberately shares no code with the combinatorial action
-formulas; agreement between the two paths is the correctness gate for
-those formulas, and `dense_kl` re-runs the full matrix-element check
-with no combinatorial shortcuts.
+A dense state is a dict from a length-N digit string (bytes, one base-d
+digit per site) to a packed slot vector: one Python int holding signed
+slots of SLOT_BITS bits each, one Gaussian integer (re, im) per orbit of a
+code, so that a string's coefficient is sum_o (re_o + i*im_o) alpha_o.  A
+single vector is the case of one orbit with alpha = 1.  Packing is linear,
+so adding packed values adds their slots as long as every slot stays in
+range; `dense_apply` checks a proven bound on its output slots before it
+adds anything and raises rather than let a carry cross into the next slot.
+
+What stays independent of the combinatorial path: operator actions come
+only from the single-site matrices (`_site_matrix`) applied at every site
+of every digit string, and code words and their relabelings are built
+string by string.  Nothing here calls `operators.generator_action`.
+
+What is shared: `dense_kl` collapses each dense image to occupation classes
+and hands the class images to the verifier's `_Gram`, the join and
+finalization `kl_full` uses.  The collapse is a check, not a shortcut:
+every class u must hold exactly basis_norm(u) strings, all carrying one
+packed value, so that sum_s conj(a_s) b_s over strings equals the engine's
+norm-weighted sum over classes.  The join itself is guarded in the tests
+by a naive evaluator built on `apply_generator` and `inner_product`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Tuple
+from collections import Counter, defaultdict
+from itertools import repeat
+from typing import Dict, Iterable, List, Tuple
 
 from sympy.utilities.iterables import multiset_permutations
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum, multinomial
 from .codes import Code
 from .combinatorics import OccupationVector, expand_orbit
-from .operators import ErrorOperator, StateVector, error_basis
-from .verifier import KLReport, Violation
+from .operators import ErrorOperator, StateVector, basis_norm, error_basis
+from .verifier import KLReport, SlotImage, SlotVector, _Gram
 
 DEFAULT_TERM_CAP = 200_000
 
 DigitString = bytes
+DenseState = Dict[DigitString, int]
+
+SLOT_BITS = 32
+_HALF = 1 << (SLOT_BITS - 1)   # every slot lies strictly inside (-_HALF, _HALF)
+_MASK = (1 << SLOT_BITS) - 1
 
 
-class DigitStringState:
-    """Sparse vector over length-N digit strings."""
+def pack(slots: Iterable[int]) -> int:
+    value = 0
+    for s in reversed(tuple(slots)):
+        if not -_HALF < s < _HALF:
+            raise InvalidInputError(f"slot {s} does not fit {SLOT_BITS} bits")
+        value = (value << SLOT_BITS) + s
+    return value
 
-    __slots__ = ("d", "N", "terms")
 
-    def __init__(self, d: int, N: int,
-                 terms: Mapping[DigitString, ExactComplex]):
-        self.d = d
-        self.N = N
-        self.terms: Dict[DigitString, ExactComplex] = {
-            s: a for s, a in terms.items() if not a.is_zero()
-        }
+def unpack(value: int, width: int = 0) -> SlotVector:
+    """The slots of a packed value, padded with zeros to `width`."""
+    slots = []
+    while value or len(slots) < width:
+        s = ((value + _HALF) & _MASK) - _HALF
+        slots.append(s)
+        value = (value - s) >> SLOT_BITS
+    return tuple(slots)
 
-    def __add__(self, other: "DigitStringState") -> "DigitStringState":
-        terms = dict(self.terms)
-        for s, a in other.terms.items():
-            terms[s] = terms[s] + a if s in terms else a
-        return DigitStringState(self.d, self.N, terms)
 
-    def scaled(self, factor) -> "DigitStringState":
-        return DigitStringState(
-            self.d, self.N, {s: a * factor for s, a in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+def _times_i(value: int, power: int) -> int:
+    """value * i**power, applied to each (re, im) slot pair."""
+    if power % 2 == 0:
+        return -value if power == 2 else value
+    z = unpack(value)
+    sign = 1 if power == 1 else -1
+    return pack(x for re, im in zip(z[::2], z[1::2] + (0,))
+                for x in (-sign * im, sign * re))
 
 
 def occupation_of(string: DigitString, d: int) -> OccupationVector:
-    return tuple(string.count(x) for x in range(d))
+    return tuple(map(string.count, range(d)))
 
 
 def dense_symmetric_vector(u: Iterable[int],
-                           term_cap: int = DEFAULT_TERM_CAP) -> DigitStringState:
-    """Amplitude 1 on every distinct rearrangement of the multiset of u."""
+                           term_cap: int = DEFAULT_TERM_CAP) -> DenseState:
+    """Coefficient 1 on every distinct rearrangement of the multiset of u."""
     u = tuple(u)
-    d, N = len(u), sum(u)
+    N = sum(u)
     count = multinomial(N, u).value()
     if count > term_cap:
         raise InvalidInputError(
             f"{count} rearrangements of {u} exceed the term cap {term_cap}")
     digits = [x for x, n in enumerate(u) for _ in range(n)]
-    terms = {bytes(perm): ExactComplex.ONE
-             for perm in multiset_permutations(digits, N)}
-    return DigitStringState(d, N, terms)
+    return {bytes(perm): 1 for perm in multiset_permutations(digits, N)}
 
 
-def _site_matrix(op: ErrorOperator) -> Dict[int, List[Tuple[int, int]]]:
-    """column digit -> [(row digit, phase code)]; phase codes 0..3 mean i**code."""
+def _site_matrix(op: ErrorOperator) -> Dict[int, Tuple[int, int]]:
+    """column digit -> (row digit, phase code); phase codes 0..3 mean i**code.
+
+    Each column and each row holds at most one entry."""
     if op.kind == "S":
-        return {op.k: [(op.j, 0)], op.j: [(op.k, 0)]}
+        return {op.k: (op.j, 0), op.j: (op.k, 0)}
     if op.kind == "A":
         # -i|j><k| + i|k><j|
-        return {op.k: [(op.j, 3)], op.j: [(op.k, 1)]}
+        return {op.k: (op.j, 3), op.j: (op.k, 1)}
     if op.kind == "D":
-        return {op.j: [(op.j, 0)], op.j + 1: [(op.j + 1, 2)]}
+        return {op.j: (op.j, 0), op.j + 1: (op.j + 1, 2)}
     raise InvalidInputError(f"no site matrix for {op.name()}")
 
 
-def _phased(amp: ExactComplex, code: int, memo: dict) -> ExactComplex:
-    if code == 0:
-        return amp
-    key = (id(amp), code)
-    cached = memo.get(key)
-    if cached is None:
-        if code == 2:
-            cached = -amp
-        else:
-            cached = amp.times_i(1 if code == 1 else -1)
-        memo[key] = cached
-    return cached
+def dense_apply(op: ErrorOperator, state: DenseState,
+                term_cap: int = DEFAULT_TERM_CAP) -> DenseState:
+    """Sum of the single-site matrix of op applied at each of the N sites.
 
-
-def dense_apply(op: ErrorOperator, state: DigitStringState,
-                term_cap: int = DEFAULT_TERM_CAP) -> DigitStringState:
-    """Sum of the single-site matrix applied at each of the N sites."""
-    if op.kind == "I":
+    A row of a site matrix holds at most one entry, a power of i, so an
+    output slot is a sum of at most N input slots: |out| <= N * max|in|.
+    The call raises before adding anything when that bound leaves the slot
+    range.
+    """
+    if op.kind == "I" or not state:
         return state
     matrix = _site_matrix(op)
-    columns = set(matrix)
-    out: Dict[DigitString, ExactComplex] = {}
-    memo: dict = {}
-    for string, amp in state.terms.items():
-        for site, digit in enumerate(string):
-            if digit not in columns:
-                continue
-            for row, phase in matrix[digit]:
-                new = string[:site] + bytes((row,)) + string[site + 1:]
-                contrib = _phased(amp, phase, memo)
-                out[new] = out[new] + contrib if new in out else contrib
+    values = set(state.values())
+    N = len(next(iter(state)))
+    peak = max((abs(s) for v in values for s in unpack(v)), default=0)
+    if N * peak >= _HALF:
+        raise InvalidInputError(
+            f"slots up to {N} * {peak} do not fit {SLOT_BITS} bits")
+    # Per distinct input value, what each column digit adds: i**phase * value.
+    adds = {v: [_times_i(v, matrix[c][1]) if c in matrix else 0
+                for c in range(max(matrix) + 1)] for v in values}
+    out: DenseState = {}
+    if all(row == col for col, (row, _) in matrix.items()):
+        # Diagonal: the sites with digit c add adds[c] to the string itself.
+        for string, v in state.items():
+            add = adds[v]
+            total = sum(string.count(c) * add[c] for c in matrix)
+            if total:
+                out[string] = total
+    else:
+        # Read as a base-256 numeral, a string turns digit c at site p into
+        # row r by adding steps[p][c] = (r - c) * 256**(N - 1 - p).
+        steps: List[List[int | None]] = [[None] * 256 for _ in range(N)]
+        for p in range(N):
+            for col, (row, _) in matrix.items():
+                steps[p][col] = (row - col) << 8 * (N - 1 - p)
+        numerals: Dict[int, int] = defaultdict(int)
+        for string, v in state.items():
+            add = adds[v]
+            key = int.from_bytes(string, "big")
+            for step, digit in zip(steps, string):
+                delta = step[digit]
+                if delta is not None:
+                    numerals[key + delta] += add[digit]
+        out = {k.to_bytes(N, "big"): v for k, v in numerals.items() if v}
     if len(out) > term_cap:
         raise InvalidInputError(f"dense apply exceeded term cap {term_cap}")
-    return DigitStringState(state.d, state.N, out)
-
-
-def dense_relabel(state: DigitStringState, a: int) -> DigitStringState:
-    """Logical shift: add a to every digit mod d."""
-    d = state.d
-    table = bytes((x + a) % d if x < d else x for x in range(256))
-    return DigitStringState(
-        d, state.N,
-        {string.translate(table): amp for string, amp in state.terms.items()})
-
-
-def dense_inner_product(phi: DigitStringState, psi: DigitStringState
-                        ) -> ExactComplex:
-    total = ExactComplex.ZERO
-    small, large = (phi, psi) if len(phi.terms) <= len(psi.terms) else (psi, phi)
-    for s, a in small.terms.items():
-        b = large.terms.get(s)
-        if b is None:
-            continue
-        if small is phi:
-            total = total + a.conjugate() * b
-        else:
-            total = total + b.conjugate() * a
-    return total
-
-
-def dense_expand(psi: StateVector,
-                 term_cap: int = DEFAULT_TERM_CAP) -> DigitStringState:
-    """Digit-string expansion of an occupation-keyed state (for comparisons)."""
-    out = DigitStringState(psi.d, psi.N, {})
-    for u, amp in psi.terms.items():
-        out = out + dense_symmetric_vector(u, term_cap=term_cap).scaled(amp)
     return out
 
 
-def states_agree(dense: DigitStringState, sparse: StateVector,
-                 term_cap: int = DEFAULT_TERM_CAP) -> bool:
-    """Exact equality of a digit-string state and an occupation-keyed one."""
-    expanded = dense_expand(sparse, term_cap)
-    if set(expanded.terms) != set(dense.terms):
-        return False
-    for s, a in dense.terms.items():
-        if not (a - expanded.terms[s]).is_zero():
-            return False
-    return True
+def dense_relabel(state: DenseState, a: int, d: int) -> DenseState:
+    """Logical shift: add a to every digit mod d."""
+    table = bytes((x + a) % d if x < d else x for x in range(256))
+    return {string.translate(table): v for string, v in state.items()}
 
 
 def dense_codewords(code: Code,
-                    term_cap: int = DEFAULT_TERM_CAP) -> List[DigitStringState]:
-    terms: Dict[DigitString, ExactComplex] = {}
-    for entry in code.orbits:
-        amp = ExactComplex.real(entry.amplitude)
+                    term_cap: int = DEFAULT_TERM_CAP) -> List[DenseState]:
+    """The d code words, with a unit in the slot pair of each string's orbit."""
+    zero: DenseState = {}
+    for o, entry in enumerate(code.orbits):
+        unit = pack([0] * 2 * o + [1])
         for member in expand_orbit(entry.representative):
-            vec = dense_symmetric_vector(member, term_cap)
-            for s in vec.terms:
-                terms[s] = amp
-    zero = DigitStringState(code.d, code.N, terms)
-    return [dense_relabel(zero, k) if k else zero for k in range(code.d)]
+            zero.update(dict.fromkeys(dense_symmetric_vector(member, term_cap),
+                                      unit))
+    return [dense_relabel(zero, k, code.d) if k else zero
+            for k in range(code.d)]
 
 
-# ---------------------------------------------------------------------------
-# Full matrix-element check over digit strings.
-#
-# Per-string amplitudes in the images are integer linear combinations of
-# the orbit amplitudes with Gaussian-integer coefficients, so states are
-# stored as dicts bytes -> flat int tuple (re_0, im_0, re_1, im_1, ...),
-# one slot pair per orbit.  All inner loops are pure integer arithmetic;
-# radicals enter only once per matrix element.
+def collapse(state: DenseState, d: int, width: int) -> SlotImage:
+    """The slot vector of each occupation class of a dense state.
+
+    Checks that the state is one vector per class: class u holds exactly
+    basis_norm(u) strings, all with one packed value of at most `width`
+    slots.  Raises ValueError naming the first class that is not.
+    """
+    # occupation_of every string, digit by digit, paired with its value.
+    classes = zip(*(map(bytes.count, state, repeat(c)) for c in range(d)))
+    out = {}
+    for (u, v), n in Counter(zip(classes, state.values())).items():
+        if u in out or n != basis_norm(u):
+            raise ValueError(f"class {u} is not {basis_norm(u)} strings "
+                             "with one value")
+        out[u] = unpack(v, width)
+        if len(out[u]) > width:
+            raise ValueError(f"class {u} has more than {width} slots")
+    return out
 
 
-def _vector_codewords(code: Code) -> Tuple[List[RadicalSum], List[Dict[bytes, tuple]]]:
-    alphas = [entry.amplitude for entry in code.orbits]
-    k = len(alphas)
-    terms: Dict[bytes, tuple] = {}
-    for slot, entry in enumerate(code.orbits):
-        unit = tuple(1 if n == 2 * slot else 0 for n in range(2 * k))
-        for member in expand_orbit(entry.representative):
-            for s in dense_symmetric_vector(member).terms:
-                terms[s] = unit
-    codewords = [terms]
-    for a in range(1, code.d):
-        table = bytes((x + a) % code.d if x < code.d else x for x in range(256))
-        codewords.append({s.translate(table): z for s, z in terms.items()})
-    return alphas, codewords
-
-
-def _vector_apply(op: ErrorOperator, state: Dict[bytes, tuple],
-                  width: int) -> Dict[bytes, tuple]:
-    if op.kind == "I":
-        return state
-    matrix = _site_matrix(op)
-    columns = set(matrix)
-    out: Dict[bytes, tuple] = {}
-    for string, z in state.items():
-        for site, digit in enumerate(string):
-            if digit not in columns:
-                continue
-            for row, phase in matrix[digit]:
-                new = string[:site] + bytes((row,)) + string[site + 1:]
-                # multiply the Gaussian pairs by i**phase
-                if phase == 0:
-                    contrib = z
-                elif phase == 1:
-                    contrib = tuple(-z[n + 1] if n % 2 == 0 else z[n - 1]
-                                    for n in range(width))
-                elif phase == 2:
-                    contrib = tuple(-x for x in z)
-                else:
-                    contrib = tuple(z[n + 1] if n % 2 == 0 else -z[n - 1]
-                                    for n in range(width))
-                old = out.get(new)
-                out[new] = contrib if old is None else tuple(
-                    a + b for a, b in zip(old, contrib))
-    return {s: z for s, z in out.items() if any(z)}
+def states_agree(dense: DenseState, sparse: StateVector) -> bool:
+    """Exact equality of a single-vector dense state and an
+    occupation-keyed one, compared per class as Gaussian integers."""
+    try:
+        image = collapse(dense, sparse.d, 2)
+    except ValueError:
+        return False
+    return image.keys() == sparse.terms.keys() and all(
+        ExactComplex(RadicalSum.of(re), RadicalSum.of(im)) == sparse.terms[u]
+        for u, (re, im) in image.items())
 
 
 def dense_kl(code: Code, mode: str = "exact",
              tolerance: float = 1e-10,
              term_cap: int = DEFAULT_TERM_CAP) -> KLReport:
-    """Full matrix-element check in the digit-string basis.
+    """Full matrix-element check from digit-string images.
 
-    Produces the same report schema and element order as the
-    combinatorial full check so the two can be compared field by field.
+    The error basis acts on the dense code words; each collapsed image then
+    goes through the same join and finalization as `kl_full`, so the
+    reports can be compared field by field.
     """
     for entry in code.orbits:
         if multinomial(code.N, entry.representative).value() > term_cap:
             raise InvalidInputError(
                 f"orbit {entry.representative} exceeds the term cap {term_cap}")
-    report = KLReport("full", mode, tolerance)
-    alphas, codewords = _vector_codewords(code)
-    k = len(alphas)
-    width = 2 * k
-    products = [[alphas[o] * alphas[p] for p in range(k)] for o in range(k)]
+    width = 2 * len(code.orbits)
+    words = dense_codewords(code, term_cap)
     basis = error_basis(code.d)
-    images = {op: [_vector_apply(op, cw, width) for cw in codewords]
-              for op in basis}
-
-    def element(ea: ErrorOperator, eb: ErrorOperator, i: int, j: int) -> ExactComplex:
-        phi, psi = images[ea][i], images[eb][j]
-        common = phi.keys() & psi.keys()
-        report.checked_elements += 1
-        if not common:
-            report.structural_zeros += 1
-            return ExactComplex.ZERO
-        sums = [0] * (2 * k * k)
-        for s in common:
-            a = phi[s]
-            b = psi[s]
-            n = 0
-            for o in range(k):
-                ra, ia = a[2 * o], a[2 * o + 1]
-                for p in range(k):
-                    rb, ib = b[2 * p], b[2 * p + 1]
-                    sums[n] += ra * rb + ia * ib
-                    sums[n + 1] += ra * ib - ia * rb
-                    n += 2
-        re = RadicalSum.zero()
-        im = RadicalSum.zero()
-        n = 0
-        for o in range(k):
-            for p in range(k):
-                if sums[n]:
-                    re = re + products[o][p] * sums[n]
-                if sums[n + 1]:
-                    im = im + products[o][p] * sums[n + 1]
-                n += 2
-        value = ExactComplex(re, im)
-        if value.is_zero():
-            report.arithmetic_zeros += 1
-        if mode == "float":
-            return value.to_complex()
-        return value
-
-    def is_zero(value) -> bool:
-        if isinstance(value, ExactComplex):
-            return value.is_zero()
-        return abs(value) <= tolerance
-
-    for ea in basis:
-        for eb in basis:
-            name = (ea.name(), eb.name())
-            constant = element(ea, eb, 0, 0)
-            report.constants[name] = constant
-            for i in range(code.d):
-                for j in range(code.d):
-                    if i == 0 and j == 0:
-                        continue
-                    value = element(ea, eb, i, j)
-                    if i != j:
-                        if not is_zero(value):
-                            report.violations.append(Violation(*name, i, j, value))
-                    elif not is_zero(value - constant):
-                        report.violations.append(Violation(*name, i, j, value))
-    return report
+    images = {op: [] for op in basis}
+    for op in basis:
+        for i, word in enumerate(words):
+            image = dense_apply(op, word, term_cap)
+            try:
+                images[op].append(collapse(image, code.d, width))
+            except ValueError as exc:
+                raise ValueError(f"dense image of code word {i} under "
+                                 f"{op.name()} fails the collapse: {exc}"
+                                 ) from exc
+    return _Gram(code, "full", mode, tolerance, basis, images).check_all_pairs()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum
 from .codes import Code, codeword_orbits, validate
@@ -96,10 +96,12 @@ class KLReport:
 # (re_0, im_0, re_1, im_1, ...): the coefficient of a basis vector is
 # sum_o (re_o + i*im_o) * alpha_o.
 SlotVector = Tuple[int, ...]
+# An operator applied to a code word: occupation vector -> slot vector.
+SlotImage = Dict[OccupationVector, SlotVector]
 
 
 def _slot_image(op: ErrorOperator, word: Dict[OccupationVector, int],
-                width: int) -> Dict[OccupationVector, SlotVector]:
+                width: int) -> SlotImage:
     """op applied to a code word given as occupation vector -> orbit index."""
     out: Dict[OccupationVector, List[int]] = {}
     for u, o in word.items():
@@ -125,7 +127,11 @@ class _Gram:
     """
 
     def __init__(self, code: Code, level: str, mode: str, tolerance: float,
-                 ops: Sequence[ErrorOperator]):
+                 ops: Sequence[ErrorOperator],
+                 images: Optional[Mapping[ErrorOperator,
+                                          Sequence[SlotImage]]] = None):
+        """`images[op][i]` is op applied to code word i, with no zero slot
+        vectors; when left out, the images come from `generator_action`."""
         self.d = code.d
         self.report = KLReport(level, mode, tolerance)
         self.float_mode = mode == "float"
@@ -133,13 +139,16 @@ class _Gram:
         alphas = [entry.amplitude for entry in code.orbits]
         self.products = [a * b for a in alphas for b in alphas]
         k = len(alphas)
-        words = [codeword_orbits(code, i) for i in range(code.d)]
+        if images is None:
+            words = [codeword_orbits(code, i) for i in range(code.d)]
         self.op_index = {op: n for n, op in enumerate(ops)}
 
         index: Dict[OccupationVector, list] = defaultdict(list)
         for n, op in enumerate(ops):
-            for i, word in enumerate(words):
-                for u, z in _slot_image(op, word, 2 * k).items():
+            op_images = images[op] if images is not None else (
+                _slot_image(op, word, 2 * k) for word in words)
+            for i, image in enumerate(op_images):
+                for u, z in image.items():
                     index[u].append(((n, i), z))
         self.sums: Dict[tuple, List[int]] = {}
         for u, entries in index.items():
@@ -203,6 +212,13 @@ class _Gram:
                 elif not self.is_zero(value - constant):
                     self.report.violations.append(Violation(*name, i, j, value))
 
+    def check_all_pairs(self) -> KLReport:
+        """`check_pair` over all ordered pairs of the operators."""
+        for ea in self.op_index:
+            for eb in self.op_index:
+                self.check_pair(ea, eb)
+        return self.report
+
     def require_zero(self, ea: ErrorOperator, eb: ErrorOperator,
                      i: int, j: int) -> None:
         value = self.element(ea, eb, i, j)
@@ -236,12 +252,8 @@ def kl_full(code: Code, mode: str = "exact", tolerance: float = DEFAULT_TOLERANC
             max_d: int = DEFAULT_MAX_D, max_n: int = DEFAULT_MAX_N) -> KLReport:
     """All ordered pairs of error-basis elements over all code-word pairs."""
     _check_scale(code, max_d, max_n)
-    basis = error_basis(code.d)
-    checker = _Gram(code, "full", mode, tolerance, basis)
-    for ea in basis:
-        for eb in basis:
-            checker.check_pair(ea, eb)
-    return checker.report
+    return _Gram(code, "full", mode, tolerance,
+                 error_basis(code.d)).check_all_pairs()
 
 
 def kl_reduced(code: Code, mode: str = "exact",

@@ -118,6 +118,33 @@ def test_oracle(capsys):
     assert payload["generators"] == 8
 
 
+@pytest.mark.parametrize("argv", [
+    ("--d", "3", "--N", "-2"),
+    ("--d", "3", "--N", "0"),
+    ("--d", "1", "--N", "3"),
+    ("--d", "0", "--N", "3"),
+    ("--d", "14", "--N", "3"),
+    ("--d", "3", "--N", "4", "--trials", "-1"),
+    ("--d", "3", "--N", "4", "--trials", "0"),
+])
+def test_oracle_rejects_inputs_it_cannot_check(capsys, argv):
+    # Exit 1 would mean "violations found", and a pass that checked
+    # nothing would be a false pass: both are invalid input.
+    status, payload = run(capsys, "oracle", *argv)
+    assert status == 2
+    assert payload["error"]["type"] == "InvalidInputError"
+
+
+def test_oracle_accepts_the_edges_of_its_range(capsys):
+    status, payload = run(capsys, "oracle", "--d", "2", "--N", "1",
+                          "--trials", "1")
+    assert status == 0 and payload == {"pass": True, "d": 2, "N": 1,
+                                       "trials": 1, "generators": 3}
+    status, payload = run(capsys, "oracle", "--d", "13", "--N", "1",
+                          "--trials", "1")
+    assert status == 0 and payload["generators"] == 168
+
+
 def test_config_flag(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"max_n": 10}))

@@ -2,14 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditcodes.arith import ExactComplex, InvalidInputError, RadicalSum, multinomial
-from quditcodes.codes import Code, OrbitAmplitude
-from quditcodes.operators import ErrorOperator, StateVector, apply_generator
-from quditcodes.oracle import (dense_apply, dense_codewords, dense_expand,
-                               dense_inner_product, dense_kl, dense_relabel,
-                               dense_symmetric_vector, occupation_of,
-                               states_agree)
+from quditcodes.codes import Code, OrbitAmplitude, codeword, codeword_orbits
+from quditcodes.combinatorics import canonical_representative
+from quditcodes.operators import (ErrorOperator, StateVector, apply_generator,
+                                  basis_norm, error_basis, inner_product)
+from quditcodes.oracle import (SLOT_BITS, collapse, dense_apply,
+                               dense_codewords, dense_kl, dense_relabel,
+                               dense_symmetric_vector, occupation_of, pack,
+                               states_agree, unpack)
+import quditcodes.oracle as oracle
 from quditcodes.verifier import kl_full
 
 from conftest import reports_identical, shipped_code
@@ -27,8 +32,8 @@ def tiny_code():
 
 def test_dense_symmetric_vector_counts():
     vec = dense_symmetric_vector((2, 1, 0))
-    assert len(vec.terms) == multinomial(3, (2, 1, 0)).value() == 3
-    assert all(occupation_of(s, 3) == (2, 1, 0) for s in vec.terms)
+    assert len(vec) == multinomial(3, (2, 1, 0)).value() == 3
+    assert all(occupation_of(s, 3) == (2, 1, 0) for s in vec)
 
 
 def test_dense_symmetric_vector_term_cap():
@@ -37,19 +42,27 @@ def test_dense_symmetric_vector_term_cap():
 
 
 def test_dense_relabel_shifts_digits():
-    vec = dense_relabel(dense_symmetric_vector((2, 1, 0)), 1)
-    assert all(occupation_of(s, 3) == (0, 2, 1) for s in vec.terms)
+    vec = dense_relabel(dense_symmetric_vector((2, 1, 0)), 1, 3)
+    assert all(occupation_of(s, 3) == (0, 2, 1) for s in vec)
 
 
 def test_dense_inner_product_is_term_count():
+    # The string sum of |a_s|**2, and the norm-weighted class sum that the
+    # collapse hands to the Gram engine in its place.
     vec = dense_symmetric_vector((2, 1, 0))
-    assert dense_inner_product(vec, vec) == ExactComplex.of(3)
+    assert sum(re * re + im * im
+               for re, im in (unpack(v, 2) for v in vec.values())) == 3
+    assert sum(basis_norm(u) * (re * re + im * im)
+               for u, (re, im) in collapse(vec, 3, 2).items()) == 3
 
 
 def test_dense_expand_matches_symmetric_vector():
+    # Dense states hold Gaussian integers, so psi = |S_u>/2 is compared
+    # as 2 psi against the dense expansion of |S_u>.
     psi = StateVector.basis((2, 1, 0)).scaled(ExactComplex.of(Fraction(1, 2)))
-    expanded = dense_expand(psi)
-    assert states_agree(expanded, psi)
+    expanded = dense_symmetric_vector((2, 1, 0))
+    assert states_agree(expanded, psi.scaled(2))
+    assert not states_agree(expanded, psi)
 
 
 def test_states_agree_detects_mismatch():
@@ -81,11 +94,18 @@ def test_dense_apply_matches_combinatorial_on_random_words():
 
 
 def test_dense_codewords_match_combinatorial(corpus):
-    from quditcodes.codes import codeword
+    # A dense code word carries a unit in its orbit's slot pair; with the
+    # orbit amplitudes substituted it must equal the combinatorial one.
     code = corpus["qutrit13"]
+    alphas = [ExactComplex.real(entry.amplitude) for entry in code.orbits]
+    width = 2 * len(alphas)
     dense = dense_codewords(code)
     for k in range(code.d):
-        assert states_agree(dense[k], codeword(code, k))
+        image = collapse(dense[k], code.d, width)
+        assert image == {u: unpack(pack([0] * 2 * o + [1]), width)
+                         for u, o in codeword_orbits(code, k).items()}
+        assert codeword(code, k).terms == {
+            u: alphas[z.index(1) // 2] for u, z in image.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -153,3 +173,152 @@ def test_dense_kl_term_cap():
     code = shipped_code("c3_d7_n36")
     with pytest.raises(InvalidInputError):
         dense_kl(code, term_cap=1000)
+
+
+# ---------------------------------------------------------------------------
+# the collapse check and the packed slots
+
+
+def test_collapse_rejects_a_changed_or_missing_string(monkeypatch):
+    u = (2, 2, 1)
+    op = ErrorOperator("S", 0, 1)
+    sparse = apply_generator(op, StateVector.basis(u))
+    good = dense_apply(op, dense_symmetric_vector(u))
+    assert states_agree(good, sparse)
+    victim = next(iter(good))
+    changed = dict(good)
+    changed[victim] += 1
+    missing = dict(good)
+    del missing[victim]
+    for bad in (changed, missing):
+        assert not states_agree(bad, sparse)
+        with pytest.raises(ValueError):
+            collapse(bad, 3, 2)
+
+    # The same corruptions inside dense_kl: the check runs on every image.
+    code = tiny_code()
+    honest = dense_apply
+
+    def corrupt(edit):
+        def apply(op, state, term_cap=oracle.DEFAULT_TERM_CAP):
+            out = dict(honest(op, state, term_cap))
+            if op.kind == "S" and out:
+                edit(out, next(iter(out)))
+            return out
+        return apply
+
+    def change(out, s):
+        out[s] += 1
+
+    def delete(out, s):
+        del out[s]
+
+    for edit in (change, delete):
+        monkeypatch.setattr(oracle, "dense_apply", corrupt(edit))
+        with pytest.raises(ValueError, match="fails the collapse"):
+            dense_kl(code)
+    monkeypatch.setattr(oracle, "dense_apply", honest)
+    assert reports_identical(dense_kl(code), kl_full(code))
+
+
+def test_pack_round_trips_signed_slots():
+    limit = (1 << (SLOT_BITS - 1)) - 1
+    for slots in ((0, 0), (1, -1), (-limit, limit), (limit, 0, -limit, 7),
+                  (0, 0, 0, -1, 0, 0)):
+        assert unpack(pack(slots), len(slots)) == slots
+    with pytest.raises(InvalidInputError):
+        pack((limit + 1,))
+
+
+def test_dense_apply_compositions_stay_exact_at_d3_n5():
+    # Four-operator words at N=5 reach slots up to N**4 = 625 with both
+    # signs; the packed sums must agree exactly with the combinatorial word.
+    rng = random.Random(11)
+    ops = [op for op in error_basis(3) if op.kind != "I"]
+    for u in ((5, 0, 0), (2, 2, 1), (1, 3, 1), (0, 4, 1)):
+        for length in (3, 4):
+            word = [rng.choice(ops) for _ in range(length)]
+            sparse = StateVector.basis(u)
+            dense = dense_symmetric_vector(u)
+            for op in word:
+                sparse = apply_generator(op, sparse)
+                dense = dense_apply(op, dense)
+            assert states_agree(dense, sparse), (u, [op.name() for op in word])
+
+
+def test_dense_apply_refuses_slots_past_the_bound():
+    # |out| <= N * max|in|: at N = 5, an input slot m is safe exactly when
+    # 5 * m stays below 2**(SLOT_BITS - 1).
+    half = 1 << (SLOT_BITS - 1)
+    safe = (half - 1) // 5
+    op = ErrorOperator("D", 0)
+    for slots in ((safe, -safe), (-safe, 0, 0, safe)):
+        out = dense_apply(op, {bytes(5): pack(slots)})
+        assert out == {bytes(5): pack([5 * s for s in slots])}
+    flip = ErrorOperator("A", 0, 1)
+    string = bytes((0, 1, 0, 2, 0))
+    for bad in (ErrorOperator("D", 0), flip):
+        with pytest.raises(InvalidInputError):
+            dense_apply(bad, {string: pack((safe + 1, 0))})
+        with pytest.raises(InvalidInputError):
+            dense_apply(bad, {string: pack((0, 0, -(safe + 1), 0))})
+
+
+# ---------------------------------------------------------------------------
+# a naive evaluator, so that the shared join does not certify itself
+
+
+def naive_kl(code):
+    """Every <i|Ea Eb|j> by apply_generator and inner_product, no index."""
+    basis, d = error_basis(code.d), code.d
+    words = [codeword(code, i) for i in range(d)]
+    image = {(op, i): apply_generator(op, words[i])
+             for op in basis for i in range(d)}
+    constants, violations, checked = {}, {}, 0
+    for ea in basis:
+        for eb in basis:
+            name = (ea.name(), eb.name())
+            for i in range(d):
+                for j in range(d):
+                    value = inner_product(image[ea, i], image[eb, j])
+                    checked += 1
+                    if i == j == 0:
+                        constants[name] = value
+                    elif not (value if i != j
+                              else value - constants[name]).is_zero():
+                        violations[name + (i, j)] = value
+    return checked, constants, violations
+
+
+def matches_naive(report, naive):
+    checked, constants, violations = naive
+    return (report.passed == (not violations)
+            and report.checked_elements == checked
+            and {k: repr(v) for k, v in report.constants.items()}
+            == {k: repr(v) for k, v in constants.items()}
+            and {(v.e, v.f, v.i, v.j): repr(v.value) for v in report.violations}
+            == {k: repr(v) for k, v in violations.items()})
+
+
+@st.composite
+def tiny_codes(draw):
+    N = draw(st.integers(1, 5))
+    occupations = [(a, b, N - a - b) for a in range(N + 1)
+                   for b in range(N + 1 - a)]
+    reps = sorted({canonical_representative(u) for u in occupations})
+    chosen = draw(st.lists(st.sampled_from(reps), min_size=1, max_size=3,
+                           unique=True))
+    fractions = st.fractions(min_value=Fraction(1, 9), max_value=3,
+                             max_denominator=9)
+    amplitudes = st.one_of(fractions.map(RadicalSum.of),
+                           fractions.map(RadicalSum.sqrt))
+    return Code(3, N, N % 3 or 1,
+                tuple(OrbitAmplitude(rep, draw(amplitudes)) for rep in chosen))
+
+
+@given(tiny_codes())
+@settings(max_examples=60, deadline=None)
+def test_both_checkers_match_the_naive_evaluator(code):
+    naive = naive_kl(code)
+    assert matches_naive(kl_full(code), naive)
+    assert matches_naive(dense_kl(code), naive)
