@@ -25,8 +25,8 @@ Rational = Union[int, Fraction]
 # Work budgets for integer factorization.  Paper-scale radicands factor
 # instantly; the caps make pathological inputs fail loudly instead of
 # hanging.
-DEFAULT_TRIAL_BOUND = 10**6
-DEFAULT_RHO_RETRIES = 16
+TRIAL_BOUND = 10**6
+RHO_RETRIES = 16
 
 
 class UnfactorableError(Exception):
@@ -41,11 +41,10 @@ class InvalidInputError(ValueError):
 # Integer factorization
 
 
-def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND,
-              rho_retries: int = DEFAULT_RHO_RETRIES) -> Dict[int, int]:
+def factorize(n: int) -> Dict[int, int]:
     """Factor a positive integer into a prime -> exponent map.
 
-    Trial division up to ``trial_bound``, then Pollard rho on whatever
+    Trial division up to ``TRIAL_BOUND``, then Pollard rho on whatever
     composite cofactor remains.  Raises UnfactorableError when the budget
     is exhausted.
     """
@@ -58,7 +57,7 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND,
             n //= p
     # 6k+-1 wheel.
     f = 5
-    while f <= trial_bound and f * f <= n:
+    while f <= TRIAL_BOUND and f * f <= n:
         for p in (f, f + 2):
             while n % p == 0:
                 factors[p] = factors.get(p, 0) + 1
@@ -73,7 +72,7 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND,
             factors[m] = factors.get(m, 0) + 1
             continue
         divisor = None
-        for seed in range(rho_retries):
+        for seed in range(RHO_RETRIES):
             divisor = pollard_rho(m, seed=seed + 1)
             if divisor is not None:
                 break
@@ -84,11 +83,9 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND,
     return factors
 
 
-def squarefree_split(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND,
-                     rho_retries: int = DEFAULT_RHO_RETRIES) -> Tuple[int, int]:
+def squarefree_split(n: int) -> Tuple[int, int]:
     """Write n = square_part**2 * squarefree_part and return the two parts."""
-    factors = factorize(n, trial_bound, rho_retries)
-    return _split_factored(factors)
+    return _split_factored(factorize(n))
 
 
 def _split_factored(factors: Mapping[int, int]) -> Tuple[int, int]:

@@ -16,17 +16,15 @@ from typing import List, Optional
 
 from .arith import InvalidInputError, UnfactorableError
 from .codes import code_from_json, code_to_json, load_code
-from .combinatorics import check_occupation, iter_support_representatives
+from .combinatorics import check_occupation, enumerate_supports
 from .config import Config, load_config
 from .oracle import dense_apply, dense_symmetric_vector, states_agree
 from .operators import StateVector, apply_generator, error_basis
 from .reptheory import branching_multiplicity, sym_dim
 from .solver import build_qf_system, family_code, search, solve_system
-from .verifier import run_level
+from .verifier import kl_full, run_level
 
 DATA_PACKAGE = "quditcodes.data"
-SHIPPED_CODES = ("qutrit13.json", "c2_d5_n16.json", "c3_d7_n36.json",
-                 "c4_d7_n20_eta6.json")
 
 
 def _emit(obj) -> None:
@@ -62,11 +60,8 @@ def cmd_branching(args, config: Config) -> int:
 
 
 def cmd_orbits(args, config: Config) -> int:
-    reps = []
-    for rep in iter_support_representatives(args.d, args.N):
-        reps.append(list(rep))
-        if args.limit is not None and len(reps) >= args.limit:
-            break
+    reps = [list(o.representative)
+            for o in enumerate_supports(args.d, args.N, args.limit)]
     _emit({"d": args.d, "N": args.N, "count": len(reps),
            "representatives": reps})
     return 0
@@ -104,7 +99,13 @@ def cmd_family(args, config: Config) -> int:
 
 
 def cmd_search(args, config: Config) -> int:
-    result = search(args.d, args.N, args.k, max_candidates=args.max)
+    if args.d > config.max_d or args.N > config.max_n:
+        raise InvalidInputError(
+            f"(d={args.d}, N={args.N}) exceeds caps "
+            f"(d<={config.max_d}, N<={config.max_n})")
+    result = search(args.d, args.N, args.k, max_candidates=args.max,
+                    verify=lambda code: kl_full(code, max_d=config.max_d,
+                                                max_n=config.max_n).passed)
     _emit({"codes": [code_to_json(c) for c in result.codes],
            "candidates_tried": result.candidates_tried,
            "exhausted": result.exhausted})

@@ -9,6 +9,7 @@ permutation-invariant code words carry one amplitude per tail orbit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -128,13 +129,12 @@ def _nonincreasing_tails(length: int, budget: int, residue: int, modulus: int,
 
 
 def enumerate_supports(d: int, N: int, limit: Optional[int] = None) -> List[TailOrbit]:
-    """Tail orbits of all eligible support representatives, optionally capped."""
-    orbits = []
-    for rep in iter_support_representatives(d, N):
-        orbits.append(tail_orbit(rep))
-        if limit is not None and len(orbits) >= limit:
-            break
-    return orbits
+    """Tail orbits of all eligible support representatives, or of the first
+    `limit` of them."""
+    if limit is not None and limit < 0:
+        raise InvalidInputError(f"limit must be non-negative, got {limit}")
+    reps = iter_support_representatives(d, N)
+    return [tail_orbit(rep) for rep in itertools.islice(reps, limit)]
 
 
 def sparsity_distance(u: Sequence[int], v: Sequence[int]
@@ -147,14 +147,22 @@ def sparsity_distance(u: Sequence[int], v: Sequence[int]
     """
     if len(u) != len(v) or sum(u) != sum(v):
         raise InvalidInputError("vectors must share (d, N)")
-    d = len(u)
-    best = None
-    for delta in range(d):
-        diffs = tuple(u[x] - v[(x + delta) % d] for x in range(d))
-        dist = sum(abs(t) for t in diffs)
-        if best is None or dist < best[0]:
-            best = (dist, delta, tuple(sorted(t for t in diffs if t)))
-    return best
+    dist, delta, diffs = min(_shifts(tuple(u), tuple(v)),
+                             key=lambda shift: shift[0])
+    return dist, delta, _pattern(diffs)
+
+
+def _shifts(u: OccupationVector, v: OccupationVector
+            ) -> Iterator[Tuple[int, int, List[int]]]:
+    """(L1 distance, delta, differences u_x - v_{x+delta}) for each cyclic
+    relabeling delta = 0..d-1 of v."""
+    for delta in range(len(u)):
+        diffs = [a - b for a, b in zip(u, v[delta:] + v[:delta])]
+        yield sum(map(abs, diffs)), delta, diffs
+
+
+def _pattern(diffs: List[int]) -> Tuple[int, ...]:
+    return tuple(sorted(t for t in diffs if t))
 
 
 @dataclass(frozen=True)
@@ -178,17 +186,12 @@ def is_effectively_sparse(support: Iterable[Sequence[int]]
     residue it can only occur at delta = 0 with u == v.
     """
     members = [tuple(u) for u in support]
-    d = len(members[0]) if members else 0
     for u in members:
         for v in members:
-            for delta in range(d):
-                diffs = [u[x] - v[(x + delta) % d] for x in range(d)]
-                dist = sum(abs(t) for t in diffs)
-                if dist == 0:
-                    continue
-                pattern = tuple(sorted(t for t in diffs if t))
-                if dist == 2 or (dist == 4 and pattern != (-2, 2)):
-                    return False, SparsityViolation(u, v, delta, dist, pattern)
+            for dist, delta, diffs in _shifts(u, v):
+                if dist == 2 or (dist == 4 and _pattern(diffs) != (-2, 2)):
+                    return False, SparsityViolation(u, v, delta, dist,
+                                                    _pattern(diffs))
     return True, None
 
 

@@ -19,12 +19,9 @@ ENV_VAR = "QECC_CONFIG"
 class Config:
     mode: str = "exact"
     float_tolerance: float = 1e-10
-    factor_budget: int = 10 ** 6
     max_d: int = 13
     max_n: int = 64
-    max_orbits: int = 10 ** 4
     oracle_term_cap: int = 200_000
-    workers: int = 1
 
     def check(self) -> "Config":
         if self.mode not in ("exact", "float"):
@@ -32,8 +29,7 @@ class Config:
         if not 0 < self.float_tolerance <= 1e-3:
             raise InvalidInputError(
                 f"float tolerance must lie in (0, 1e-3], got {self.float_tolerance}")
-        for name in ("factor_budget", "max_d", "max_n", "max_orbits",
-                     "oracle_term_cap", "workers"):
+        for name in ("max_d", "max_n", "oracle_term_cap"):
             if getattr(self, name) <= 0:
                 raise InvalidInputError(f"{name} must be positive")
         return self

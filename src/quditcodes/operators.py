@@ -83,23 +83,12 @@ class StateVector:
     def basis(cls, u: OccupationVector) -> "StateVector":
         return cls(len(u), sum(u), {tuple(u): ExactComplex.ONE})
 
-    def __add__(self, other: "StateVector") -> "StateVector":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for u, a in other.terms.items():
-            terms[u] = terms[u] + a if u in terms else a
-        return StateVector(self.d, self.N, terms)
-
     def scaled(self, factor) -> "StateVector":
         return StateVector(self.d, self.N,
                            {u: a * factor for u, a in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def _check_compatible(self, other: "StateVector") -> None:
-        if (self.d, self.N) != (other.d, other.N):
-            raise InvalidInputError("state vectors live in different spaces")
 
     def __repr__(self) -> str:
         return f"StateVector(d={self.d}, N={self.N}, {len(self.terms)} terms)"
@@ -175,7 +164,8 @@ def basis_norm(u: OccupationVector) -> int:
 
 def inner_product(phi: StateVector, psi: StateVector) -> ExactComplex:
     """<phi|psi> = sum_u conj(amp_phi) * amp_psi * <S_u|S_u>."""
-    phi._check_compatible(psi)
+    if (phi.d, phi.N) != (psi.d, psi.N):
+        raise InvalidInputError("state vectors live in different spaces")
     small, large = (phi, psi) if len(phi.terms) <= len(psi.terms) else (psi, phi)
     total = ExactComplex.ZERO
     for u, a in small.terms.items():

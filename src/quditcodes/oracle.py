@@ -34,10 +34,11 @@ from sympy.utilities.iterables import multiset_permutations
 from .arith import ExactComplex, InvalidInputError, RadicalSum, multinomial
 from .codes import Code
 from .combinatorics import OccupationVector, expand_orbit
+from .config import Config
 from .operators import ErrorOperator, StateVector, basis_norm, error_basis
 from .verifier import KLReport, SlotImage, SlotVector, _Gram
 
-DEFAULT_TERM_CAP = 200_000
+DEFAULT_TERM_CAP = Config.oracle_term_cap
 
 DigitString = bytes
 DenseState = Dict[DigitString, int]
@@ -209,7 +210,7 @@ def states_agree(dense: DenseState, sparse: StateVector) -> bool:
 
 
 def dense_kl(code: Code, mode: str = "exact",
-             tolerance: float = 1e-10,
+             tolerance: float = Config.float_tolerance,
              term_cap: int = DEFAULT_TERM_CAP) -> KLReport:
     """Full matrix-element check from digit-string images.
 

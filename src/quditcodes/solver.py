@@ -15,15 +15,15 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import sympy
 
 from .arith import (FactoredNatural, InvalidInputError, RadicalSum, factorize,
                     multinomial)
 from .codes import Code, OrbitAmplitude, validate
-from .combinatorics import (OccupationVector, TailOrbit, canonical_representative,
-                            cyclic_shift, expand_orbit, is_effectively_sparse,
+from .combinatorics import (OccupationVector, TailOrbit, cyclic_shift,
+                            expand_orbit, is_effectively_sparse,
                             iter_support_representatives, tail_orbit)
 
 Row = Tuple[int, ...]
@@ -91,54 +91,34 @@ class Solution:
     code: Code
 
 
-def _nullspace(rows: Sequence[Sequence[int]], n: int) -> List[Tuple[Fraction, ...]]:
-    matrix = sympy.Matrix([list(r) for r in rows]) if rows else sympy.zeros(1, n)
-    basis = matrix.nullspace()
-    return [tuple(Fraction(int(x.p), int(x.q)) for x in vec) for vec in basis]
-
-
 def _positive_rays(rows: Sequence[Row], n: int) -> List[Tuple[Fraction, ...]]:
-    """Extreme rays of {x >= 0, rows.x = 0}, each scaled to integer entries.
+    """Extreme rays of {x >= 0, rows.x = 0}, one positive vector each.
 
-    Supports are small, so rays are found by zeroing coordinate subsets
-    until the restricted nullspace is one-dimensional and one-signed;
-    minimal-support representatives are kept.
+    Supports are small, so every coordinate subset K ("keep set") is
+    visited once, smallest first.  A ray is recorded when the nullspace of
+    the columns in K is one-dimensional and spanned by a vector with no
+    zero entry and one sign.  Such a ray has minimal support and is found
+    exactly once: any null vector supported on a proper subset of K would
+    lie in that one-dimensional nullspace, so it would be a multiple of
+    the spanning vector, which has no zero on K.  Hence no recorded ray
+    repeats or contains another, and no deduplication is needed.
     """
     rays: List[Tuple[Fraction, ...]] = []
     for keep_size in range(1, n + 1):
         for keep in itertools.combinations(range(n), keep_size):
-            sub = [[row[i] for i in keep] for row in rows]
-            basis = _nullspace(sub, keep_size)
+            basis = sympy.Matrix([[row[i] for i in keep]
+                                  for row in rows]).nullspace()
             if len(basis) != 1:
                 continue
-            vec = basis[0]
-            if any(x == 0 for x in vec):
-                continue  # smaller support already covers this face
-            if all(x > 0 for x in vec):
-                pass
-            elif all(x < 0 for x in vec):
-                vec = tuple(-x for x in vec)
-            else:
+            sign = 1 if basis[0][0] > 0 else -1
+            vec = [sign * Fraction(int(x.p), int(x.q)) for x in basis[0]]
+            if not all(x > 0 for x in vec):
                 continue
             full = [Fraction(0)] * n
             for i, x in zip(keep, vec):
                 full[i] = x
-            if not any(_same_ray(full, r) for r in rays):
-                if not any(_support_subset(r, full) for r in rays):
-                    rays.append(tuple(full))
+            rays.append(tuple(full))
     return rays
-
-
-def _same_ray(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
-    pivot = next((i for i, x in enumerate(a) if x), None)
-    if pivot is None or b[pivot] == 0:
-        return False
-    scale = b[pivot] / a[pivot]
-    return all(x * scale == y for x, y in zip(a, b))
-
-
-def _support_subset(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
-    return all(not y for x, y in zip(a, b) if not x)
 
 
 def _amplitude(xi: Fraction, norm: FactoredNatural) -> RadicalSum:
@@ -287,6 +267,9 @@ def search(d: int, N: int, support_size: int,
     """
     if support_size < 2:
         raise InvalidInputError("support size must be at least 2")
+    if max_candidates is not None and max_candidates < 1:
+        raise InvalidInputError(
+            f"max_candidates must be at least 1, got {max_candidates}")
     if N % d == 0 or math.gcd(N % d, d) != 1:
         raise InvalidInputError(
             f"N={N} has residue {N % d} not coprime to d={d}")

@@ -20,11 +20,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .arith import ExactComplex, InvalidInputError, RadicalSum
 from .codes import Code, codeword_orbits, validate
 from .combinatorics import OccupationVector
+from .config import Config
 from .operators import ErrorOperator, basis_norm, error_basis, generator_action
-
-DEFAULT_TOLERANCE = 1e-10
-DEFAULT_MAX_D = 13
-DEFAULT_MAX_N = 64
 
 # Exact elements, or their complex values in float mode.
 Amplitude = Union[ExactComplex, complex]
@@ -248,8 +245,9 @@ def _check_scale(code: Code, max_d: int, max_n: int) -> None:
             f"code (d={code.d}, N={code.N}) exceeds caps (d<={max_d}, N<={max_n})")
 
 
-def kl_full(code: Code, mode: str = "exact", tolerance: float = DEFAULT_TOLERANCE,
-            max_d: int = DEFAULT_MAX_D, max_n: int = DEFAULT_MAX_N) -> KLReport:
+def kl_full(code: Code, mode: str = "exact",
+            tolerance: float = Config.float_tolerance,
+            max_d: int = Config.max_d, max_n: int = Config.max_n) -> KLReport:
     """All ordered pairs of error-basis elements over all code-word pairs."""
     _check_scale(code, max_d, max_n)
     return _Gram(code, "full", mode, tolerance,
@@ -257,8 +255,8 @@ def kl_full(code: Code, mode: str = "exact", tolerance: float = DEFAULT_TOLERANC
 
 
 def kl_reduced(code: Code, mode: str = "exact",
-               tolerance: float = DEFAULT_TOLERANCE,
-               max_d: int = DEFAULT_MAX_D, max_n: int = DEFAULT_MAX_N) -> KLReport:
+               tolerance: float = Config.float_tolerance,
+               max_d: int = Config.max_d, max_n: int = Config.max_n) -> KLReport:
     """The four sufficient conditions left over by shift symmetry:
     single dit flips S(0,n) off-diagonal, all flip pairs, D(d-2), and
     D(l)D(d-2)."""
@@ -293,8 +291,8 @@ def kl_reduced(code: Code, mode: str = "exact",
 
 
 def qf_check(code: Code, mode: str = "exact",
-             tolerance: float = DEFAULT_TOLERANCE,
-             max_d: int = DEFAULT_MAX_D, max_n: int = DEFAULT_MAX_N) -> KLReport:
+             tolerance: float = Config.float_tolerance,
+             max_d: int = Config.max_d, max_n: int = Config.max_n) -> KLReport:
     """The three scalar quadratic forms for sparse doubly
     permutation-invariant codes; refuses codes that fail validation."""
     _check_scale(code, max_d, max_n)
@@ -327,8 +325,8 @@ def qf_check(code: Code, mode: str = "exact",
 
 
 def run_level(code: Code, level: str, mode: str = "exact",
-              tolerance: float = DEFAULT_TOLERANCE,
-              max_d: int = DEFAULT_MAX_D, max_n: int = DEFAULT_MAX_N) -> KLReport:
+              tolerance: float = Config.float_tolerance,
+              max_d: int = Config.max_d, max_n: int = Config.max_n) -> KLReport:
     if level == "full":
         return kl_full(code, mode, tolerance, max_d, max_n)
     if level == "reduced":

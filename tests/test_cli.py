@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quditcodes import solver
 from quditcodes.cli import main
 from quditcodes.codes import code_from_json
 
@@ -30,6 +31,17 @@ def test_orbits(capsys):
     status, payload = run(capsys, "orbits", "--d", "3", "--N", "13",
                           "--limit", "4")
     assert payload["count"] == 4
+
+
+def test_orbits_limit_edges(capsys):
+    status, payload = run(capsys, "orbits", "--d", "3", "--N", "13",
+                          "--limit", "0")
+    assert status == 0
+    assert payload["count"] == 0 and payload["representatives"] == []
+    status, payload = run(capsys, "orbits", "--d", "3", "--N", "13",
+                          "--limit", "-1")
+    assert status == 2
+    assert payload["error"]["type"] == "InvalidInputError"
 
 
 def test_check_shipped_codes_by_name(capsys):
@@ -109,6 +121,35 @@ def test_search(capsys):
     assert status == 0
     assert payload["exhausted"]
     assert len(payload["codes"]) == 3
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"max_n": 10}, ("--d", "3", "--N", "13", "--k", "3")),
+    ({"max_d": 3}, ("--d", "5", "--N", "16", "--k", "3")),
+    ({}, ("--d", "3", "--N", "13", "--k", "3", "--max", "0")),
+    ({}, ("--d", "3", "--N", "13", "--k", "3", "--max", "-1")),
+])
+def test_search_rejects_inputs_outside_its_caps(tmp_path, capsys, config,
+                                                argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    status, payload = run(capsys, "--config", str(path), "search", *argv)
+    assert status == 2
+    assert payload["error"]["type"] == "InvalidInputError"
+
+
+def test_search_full_checks_with_the_configured_caps(tmp_path, capsys,
+                                                    monkeypatch):
+    # One validated two-orbit support at N = 67, past the default cap of
+    # 64: the full check must run under the configured max_n = 128.
+    monkeypatch.setattr(solver, "iter_support_representatives",
+                        lambda d, N: iter([(1, 57, 9), (37, 15, 15)]))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"max_n": 128}))
+    status, payload = run(capsys, "--config", str(path), "search", "--d", "3",
+                          "--N", "67", "--k", "2")
+    assert status == 0, payload
+    assert payload["candidates_tried"] == 1 and payload["exhausted"]
 
 
 def test_oracle(capsys):

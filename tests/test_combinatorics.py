@@ -116,6 +116,14 @@ def test_enumerate_supports_limit():
                for o in orbits)
 
 
+def test_enumerate_supports_limit_edges():
+    assert enumerate_supports(3, 13, limit=0) == []
+    assert len(enumerate_supports(3, 13, limit=100)) == 21
+    for limit in (-1, -3):
+        with pytest.raises(InvalidInputError):
+            enumerate_supports(3, 13, limit=limit)
+
+
 def test_iter_support_representatives_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         list(iter_support_representatives(4, 10))

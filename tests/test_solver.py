@@ -112,6 +112,35 @@ def test_solver_drops_zero_coordinates():
         break
 
 
+def test_four_orbit_support_with_two_rays():
+    # The positive cone on this support has two extreme rays, each on a
+    # different three-orbit face.
+    system = build_qf_system(3, 13, ((0, 11, 2), (1, 6, 6), (4, 9, 0),
+                                     (7, 3, 3)))
+    assert [s.xi for s in solve_system(system)] == [
+        (Fraction(13, 72), 0, Fraction(5, 216), Fraction(16, 27)),
+        (0, Fraction(26, 81), Fraction(10, 81), Fraction(35, 81)),
+    ]
+
+
+def test_returned_rays_have_minimal_supports():
+    # No solution's support may contain another's: every returned ray is
+    # extreme and found once.
+    reps = list(iter_support_representatives(3, 13))
+    supports = solutions = 0
+    for subset in itertools.combinations(reps, 4):
+        members = [m for rep in subset for m in expand_orbit(rep)]
+        if not is_effectively_sparse(members)[0]:
+            continue
+        supports += 1
+        found = [frozenset(i for i, x in enumerate(s.xi) if x)
+                 for s in solve_system(build_qf_system(3, 13, subset))]
+        solutions += len(found)
+        for a, b in itertools.permutations(found, 2):
+            assert not a <= b, subset
+    assert (supports, solutions) == (57, 64)
+
+
 # ---------------------------------------------------------------------------
 # prefilter soundness
 
@@ -221,3 +250,11 @@ def test_search_with_custom_verifier():
     result = search(3, 13, 3, verify=lambda code: True)
     supports = {c.support_representatives() for c in result.codes}
     assert tuple(sorted(QUTRIT_SUPPORT)) in supports
+
+
+def test_search_rejects_candidate_cap_below_one():
+    # A cap that admits no candidate would report an empty search as a
+    # result.
+    for cap in (0, -1):
+        with pytest.raises(InvalidInputError):
+            search(3, 13, 3, max_candidates=cap)
