@@ -104,6 +104,7 @@ def cmd_search(args, config: Config) -> int:
             f"(d={args.d}, N={args.N}) exceeds caps "
             f"(d<={config.max_d}, N<={config.max_n})")
     result = search(args.d, args.N, args.k, max_candidates=args.max,
+                    max_seconds=args.max_seconds,
                     verify=lambda code: kl_full(code, max_d=config.max_d,
                                                 max_n=config.max_n).passed)
     _emit({"codes": [code_to_json(c) for c in result.codes],
@@ -180,6 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max", type=int)
+    p.add_argument("--max-seconds", type=float,
+                   help="time budget; a stop reports \"exhausted\": false")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("oracle", help="differential test vs dense tensor action")

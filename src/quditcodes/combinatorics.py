@@ -188,11 +188,46 @@ def is_effectively_sparse(support: Iterable[Sequence[int]]
     members = [tuple(u) for u in support]
     for u in members:
         for v in members:
-            for dist, delta, diffs in _shifts(u, v):
-                if dist == 2 or (dist == 4 and _pattern(diffs) != (-2, 2)):
-                    return False, SparsityViolation(u, v, delta, dist,
-                                                    _pattern(diffs))
+            violation = _violation(u, v)
+            if violation is not None:
+                return False, violation
     return True, None
+
+
+def _violation(u: OccupationVector, v: OccupationVector
+               ) -> Optional[SparsityViolation]:
+    """The first shift at which v is too close to u, if any."""
+    for dist, delta, diffs in _shifts(u, v):
+        if dist == 2 or (dist == 4 and _pattern(diffs) != (-2, 2)):
+            return SparsityViolation(u, v, delta, dist, _pattern(diffs))
+    return None
+
+
+@lru_cache(maxsize=1 << 16)
+def orbits_compatible(r: OccupationVector, s: OccupationVector) -> bool:
+    """True when no member of tail orbit r violates sparsity against any
+    member of tail orbit s; `orbits_compatible(r, r)` checks r alone.
+
+    A support is effectively sparse exactly when every unordered pair of
+    its orbits, each one with itself too, is compatible: the test is
+    pairwise over members, and symmetric, because swapping u and v negates
+    the differences and {+2, -2} maps to itself.
+    """
+    members = _orbit_members(s)
+    return not any(_violation(u, v) for u in _orbit_members(r)
+                   for v in members)
+
+
+def support_is_sparse(reps: Sequence[Sequence[int]]) -> bool:
+    """`is_effectively_sparse` of the orbits' members, from the pair table.
+
+    Gives the verdict only; `is_effectively_sparse` gives the witness.
+    Each pair is asked for in sorted order, so that the cache holds one
+    entry per unordered pair.
+    """
+    reps = sorted(map(tuple, reps))
+    return all(orbits_compatible(r, s)
+               for i, r in enumerate(reps) for s in reps[i:])
 
 
 def expand_support(orbits: Iterable[TailOrbit]) -> List[OccupationVector]:

@@ -15,16 +15,16 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import sympy
 
 from .arith import (FactoredNatural, InvalidInputError, RadicalSum, factorize,
                     multinomial)
 from .codes import Code, OrbitAmplitude, validate
 from .combinatorics import (OccupationVector, TailOrbit, cyclic_shift,
                             expand_orbit, is_effectively_sparse,
-                            iter_support_representatives, tail_orbit)
+                            iter_support_representatives, support_is_sparse,
+                            tail_orbit)
 
 Row = Tuple[int, ...]
 
@@ -56,10 +56,21 @@ def build_qf_system(d: int, N: int,
     Row 3: squared first dit flip, first code word minus last.
     """
     orbits = tuple(tail_orbit(tuple(int(x) for x in rep)) for rep in support)
-    members = [m for o in orbits for m in expand_orbit(o.representative)]
-    sparse, violation = is_effectively_sparse(members)
-    if not sparse:
+    reps = [o.representative for o in orbits]
+    if not support_is_sparse(reps):
+        members = [m for rep in reps for m in expand_orbit(rep)]
+        violation = is_effectively_sparse(members)[1]
         raise InvalidInputError(f"support is not effectively sparse: {violation}")
+    columns = [_qf_column(rep) for rep in reps]
+    rows = tuple(tuple(column[n] for column in columns) for n in range(3))
+    normalization = tuple(o.size for o in orbits)
+    return QFSystem(d, N, orbits, rows, normalization)
+
+
+@lru_cache(maxsize=4096)
+def _qf_column(rep: OccupationVector) -> Tuple[int, int, int]:
+    """One orbit's entries in the three rows of `build_qf_system`."""
+    d = len(rep)
 
     def phase(w: OccupationVector) -> int:
         return w[d - 2] - w[d - 1]
@@ -67,22 +78,13 @@ def build_qf_system(d: int, N: int,
     def flip_sq(w: OccupationVector) -> int:
         return (w[0] + 1) * w[1] + w[0] * (w[1] + 1)
 
-    rows = []
-    for functional, shifted_only in ((phase, True), (lambda w: phase(w) ** 2, False),
-                                     (flip_sq, False)):
-        row = []
-        for orbit in orbits:
-            total = 0
-            for w in expand_orbit(orbit.representative):
-                shifted = cyclic_shift(w, d - 1)
-                if shifted_only:
-                    total += functional(shifted)
-                else:
-                    total += functional(w) - functional(shifted)
-            row.append(total)
-        rows.append(tuple(row))
-    normalization = tuple(o.size for o in orbits)
-    return QFSystem(d, N, orbits, tuple(rows), normalization)
+    column = [0, 0, 0]
+    for w in expand_orbit(rep):
+        shifted = cyclic_shift(w, d - 1)
+        column[0] += phase(shifted)
+        column[1] += phase(w) ** 2 - phase(shifted) ** 2
+        column[2] += flip_sq(w) - flip_sq(shifted)
+    return tuple(column)
 
 
 @dataclass(frozen=True)
@@ -101,17 +103,18 @@ def _positive_rays(rows: Sequence[Row], n: int) -> List[Tuple[Fraction, ...]]:
     exactly once: any null vector supported on a proper subset of K would
     lie in that one-dimensional nullspace, so it would be a multiple of
     the spanning vector, which has no zero on K.  Hence no recorded ray
-    repeats or contains another, and no deduplication is needed.
+    repeats or contains another, and no deduplication is needed.  With
+    three rows, a keep set of more than four columns has a nullspace of
+    dimension at least two, so none is visited.
     """
     rays: List[Tuple[Fraction, ...]] = []
-    for keep_size in range(1, n + 1):
+    for keep_size in range(1, min(n, len(rows) + 1) + 1):
         for keep in itertools.combinations(range(n), keep_size):
-            basis = sympy.Matrix([[row[i] for i in keep]
-                                  for row in rows]).nullspace()
+            basis = _nullspace([[row[i] for i in keep] for row in rows])
             if len(basis) != 1:
                 continue
             sign = 1 if basis[0][0] > 0 else -1
-            vec = [sign * Fraction(int(x.p), int(x.q)) for x in basis[0]]
+            vec = [sign * x for x in basis[0]]
             if not all(x > 0 for x in vec):
                 continue
             full = [Fraction(0)] * n
@@ -119,6 +122,43 @@ def _positive_rays(rows: Sequence[Row], n: int) -> List[Tuple[Fraction, ...]]:
                 full[i] = x
             rays.append(tuple(full))
     return rays
+
+
+def _nullspace(matrix: List[List[int]]) -> List[List[Fraction]]:
+    """A basis of the nullspace of an integer matrix, one vector per free
+    column, as sympy's `Matrix.nullspace` gives it.
+
+    Exact reduced row echelon form by integer row combinations: pivots are
+    not scaled to 1, so each entry is read off with one division by its
+    pivot.
+    """
+    rows = [list(row) for row in matrix]
+    width = len(rows[0])
+    pivots: List[int] = []
+    for col in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [lead[col] * a - row[col] * b
+                           for a, b in zip(row, lead)]
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * width
+        vec[free] = Fraction(1)
+        for row, col in zip(rows, pivots):
+            vec[col] = Fraction(-row[free], row[col])
+        basis.append(vec)
+    return basis
 
 
 def _amplitude(xi: Fraction, norm: FactoredNatural) -> RadicalSum:
@@ -270,6 +310,9 @@ def search(d: int, N: int, support_size: int,
     if max_candidates is not None and max_candidates < 1:
         raise InvalidInputError(
             f"max_candidates must be at least 1, got {max_candidates}")
+    if max_seconds is not None and not max_seconds > 0:
+        raise InvalidInputError(
+            f"max_seconds must be positive, got {max_seconds}")
     if N % d == 0 or math.gcd(N % d, d) != 1:
         raise InvalidInputError(
             f"N={N} has residue {N % d} not coprime to d={d}")
@@ -278,7 +321,7 @@ def search(d: int, N: int, support_size: int,
         verify = lambda code: kl_full(code).passed
 
     reps = list(iter_support_representatives(d, N))
-    deadline = time.monotonic() + max_seconds if max_seconds else None
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
     codes: List[Code] = []
     tried = 0
     exhausted = True
@@ -289,10 +332,7 @@ def search(d: int, N: int, support_size: int,
         if deadline is not None and time.monotonic() > deadline:
             exhausted = False
             break
-        members = [m for rep in subset for m in expand_orbit(rep)]
-        if not is_effectively_sparse(members)[0]:
-            continue
-        if not passes_prefilter(subset):
+        if not support_is_sparse(subset) or not passes_prefilter(subset):
             continue
         tried += 1
         system = build_qf_system(d, N, subset)

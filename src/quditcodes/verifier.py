@@ -13,8 +13,11 @@ engine over Gaussian-integer slot vectors; see `_Gram`.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum
@@ -134,8 +137,16 @@ class _Gram:
         self.float_mode = mode == "float"
         self.zero: Amplitude = complex(0.0) if self.float_mode else ExactComplex.ZERO
         alphas = [entry.amplitude for entry in code.orbits]
-        self.products = [a * b for a in alphas for b in alphas]
         k = len(alphas)
+        products = [a * b for a in alphas for b in alphas]
+        # The products regrouped by radicand r: the integer numerators of
+        # their sqrt(r) coefficients over one common denominator, so that
+        # `_combine` is one integer dot product per radicand.
+        self.denominator = math.lcm(*(c.denominator for p in products
+                                      for c in p.terms.values()))
+        self.radicals = [
+            (r, [int(p.terms.get(r, 0) * self.denominator) for p in products])
+            for r in sorted({r for p in products for r in p.terms})]
         if images is None:
             words = [codeword_orbits(code, i) for i in range(code.d)]
         self.op_index = {op: n for n, op in enumerate(ops)}
@@ -159,6 +170,16 @@ class _Gram:
         # Operator pairs with at least one image pair sharing a key.
         self.overlapping = {(a[0], b[0]) for a, b in self.sums}
 
+    def _combine(self, sums: List[int]) -> RadicalSum:
+        """sum_n alpha_o alpha_p * sums[n] over the products n = (o, p),
+        exactly: the real or imaginary part of an element."""
+        terms = {}
+        for r, numerators in self.radicals:
+            total = sum(map(operator.mul, numerators, sums))
+            if total:
+                terms[r] = Fraction(total, self.denominator)
+        return RadicalSum(terms)
+
     def is_zero(self, value: Amplitude) -> bool:
         if isinstance(value, ExactComplex):
             return value.is_zero()
@@ -172,14 +193,8 @@ class _Gram:
         if sums is None:
             self.report.structural_zeros += 1
             return self.zero
-        re = RadicalSum.zero()
-        im = RadicalSum.zero()
-        for n, product in enumerate(self.products):
-            if sums[2 * n]:
-                re = re + product * sums[2 * n]
-            if sums[2 * n + 1]:
-                im = im + product * sums[2 * n + 1]
-        value = ExactComplex(re, im)
+        value = ExactComplex(self._combine(sums[0::2]),
+                             self._combine(sums[1::2]))
         if self.float_mode:
             value = value.to_complex()
         if self.is_zero(value):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -128,6 +129,8 @@ def test_search(capsys):
     ({"max_d": 3}, ("--d", "5", "--N", "16", "--k", "3")),
     ({}, ("--d", "3", "--N", "13", "--k", "3", "--max", "0")),
     ({}, ("--d", "3", "--N", "13", "--k", "3", "--max", "-1")),
+    ({}, ("--d", "3", "--N", "13", "--k", "3", "--max-seconds", "0")),
+    ({}, ("--d", "3", "--N", "13", "--k", "3", "--max-seconds", "-1")),
 ])
 def test_search_rejects_inputs_outside_its_caps(tmp_path, capsys, config,
                                                 argv):
@@ -136,6 +139,18 @@ def test_search_rejects_inputs_outside_its_caps(tmp_path, capsys, config,
     status, payload = run(capsys, "--config", str(path), "search", *argv)
     assert status == 2
     assert payload["error"]["type"] == "InvalidInputError"
+
+
+def test_search_reports_a_stop_at_its_time_budget(capsys, monkeypatch):
+    # Each reading of the clock is one second later: the budget runs out
+    # after two visited subsets.
+    ticks = itertools.count()
+    monkeypatch.setattr(solver.time, "monotonic", lambda: next(ticks))
+    status, payload = run(capsys, "search", "--d", "3", "--N", "13",
+                          "--k", "3", "--max-seconds", "2.5")
+    assert status == 0
+    assert payload == {"codes": [], "candidates_tried": 0,
+                       "exhausted": False}
 
 
 def test_search_full_checks_with_the_configured_caps(tmp_path, capsys,

@@ -7,8 +7,10 @@ from quditcodes.arith import ExactComplex, InvalidInputError, RadicalSum
 from quditcodes.codes import (Code, OrbitAmplitude, code_from_json,
                               code_to_json, codeword, load_code, save_code,
                               validate)
-from quditcodes.combinatorics import cyclic_shift
+from quditcodes.combinatorics import (cyclic_shift, expand_orbit,
+                                      is_effectively_sparse)
 from quditcodes.operators import inner_product
+from quditcodes.solver import build_qf_system
 
 from conftest import shipped_code
 
@@ -35,6 +37,17 @@ def test_validation_of_shipped_codes(corpus):
     assert report.checks["normalization"]
     assert not report.checks["sparsity"]
     assert report.witnesses["sparsity"].distance == 2
+
+
+def test_sparsity_witness_is_the_member_wise_one(corpus):
+    code = corpus["c4_d7_n20_eta6"]
+    support = code.support_representatives()
+    _, witness = is_effectively_sparse(
+        [m for rep in support for m in expand_orbit(rep)])
+    assert validate(code).witnesses["sparsity"] == witness
+    with pytest.raises(InvalidInputError) as info:
+        build_qf_system(code.d, code.N, support)
+    assert str(info.value) == f"support is not effectively sparse: {witness}"
 
 
 def test_validate_catches_broken_residue():

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditcodes.arith import InvalidInputError
+from quditcodes.arith import InvalidInputError, RadicalSum
+from quditcodes.codes import Code, OrbitAmplitude, validate
 from quditcodes.combinatorics import (canonical_representative, check_occupation,
                                       cyclic_shift, enumerate_supports,
                                       expand_orbit, expand_support,
                                       is_effectively_sparse,
                                       iter_support_representatives,
-                                      sparsity_distance, tail_orbit, weight)
+                                      orbits_compatible, sparsity_distance,
+                                      support_is_sparse, tail_orbit, weight)
+from quditcodes.solver import build_qf_system
 
 
 def occupations(d=3, max_total=15):
@@ -177,6 +180,39 @@ def test_effective_sparsity_rejects_single_flip():
     assert not ok
     assert witness.distance == 2
     assert witness.u == (2, 3, 3, 3, 3, 3, 3)
+
+
+def test_pair_table_matches_member_wise_predicate():
+    # Sparsity is pairwise over orbits: the cached pair verdicts must give
+    # the member-wise verdict on every subset of one to three orbits.
+    for d, N in ((3, 13), (5, 16), (7, 20)):
+        reps = list(iter_support_representatives(d, N))
+        for size in (1, 2, 3):
+            for subset in itertools.combinations(reps, size):
+                members = [m for rep in subset for m in expand_orbit(rep)]
+                assert support_is_sparse(subset) == \
+                    is_effectively_sparse(members)[0], subset
+        for r in reps:
+            for s in reps:
+                assert orbits_compatible(r, s) == orbits_compatible(s, r)
+
+
+def test_non_sparse_support_keeps_its_witness():
+    # The pair table only gives the verdict; validate and build_qf_system
+    # must still report the member-wise witness.
+    support = ((20, 0, 0, 0, 0, 0, 0), (6, 14, 0, 0, 0, 0, 0),
+               (2, 3, 3, 3, 3, 3, 3))
+    _, witness = is_effectively_sparse(
+        expand_support([tail_orbit(u) for u in support]))
+    assert witness is not None
+    code = Code(7, 20, 6, tuple(OrbitAmplitude(u, RadicalSum.of(1))
+                                for u in support))
+    report = validate(code)
+    assert not report.checks["sparsity"]
+    assert report.witnesses["sparsity"] == witness
+    with pytest.raises(InvalidInputError) as info:
+        build_qf_system(7, 20, support)
+    assert str(info.value) == f"support is not effectively sparse: {witness}"
 
 
 def test_strict_sparsity_of_large_codes():

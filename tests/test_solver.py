@@ -2,7 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from quditcodes import solver
 from quditcodes.arith import InvalidInputError, RadicalSum
 from quditcodes.codes import validate
 from quditcodes.combinatorics import (expand_orbit, is_effectively_sparse,
@@ -121,6 +125,50 @@ def test_four_orbit_support_with_two_rays():
         (Fraction(13, 72), 0, Fraction(5, 216), Fraction(16, 27)),
         (0, Fraction(26, 81), Fraction(10, 81), Fraction(35, 81)),
     ]
+
+
+# Three rows of one to five small integers, the shape of a QF system.
+three_row_matrices = st.integers(1, 5).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+    min_size=3, max_size=3))
+
+
+@given(three_row_matrices)
+@settings(max_examples=200, deadline=None)
+def test_nullspace_matches_sympy(matrix):
+    # sympy stays the reference: same basis, hence the same dimension and,
+    # when it is one-dimensional, the same ray direction.
+    expected = [[Fraction(int(x.p), int(x.q)) for x in vec]
+                for vec in sympy.Matrix(matrix).nullspace()]
+    assert solver._nullspace(matrix) == expected
+
+
+def sympy_positive_rays(rows, n):
+    """The ray finder as it was on sympy, kept as the reference."""
+    rays = []
+    for size in range(1, n + 1):
+        for keep in itertools.combinations(range(n), size):
+            basis = sympy.Matrix([[row[i] for i in keep]
+                                  for row in rows]).nullspace()
+            if len(basis) != 1:
+                continue
+            sign = 1 if basis[0][0] > 0 else -1
+            vec = [sign * Fraction(int(x.p), int(x.q)) for x in basis[0]]
+            if all(x > 0 for x in vec):
+                full = [Fraction(0)] * n
+                for i, x in zip(keep, vec):
+                    full[i] = x
+                rays.append(tuple(full))
+    return rays
+
+
+@given(three_row_matrices)
+@example([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
+@settings(max_examples=100, deadline=None)
+def test_positive_rays_match_sympy_reference(rows):
+    # The example's only ray needs all four columns.
+    n = len(rows[0])
+    assert solver._positive_rays(rows, n) == sympy_positive_rays(rows, n)
 
 
 def test_returned_rays_have_minimal_supports():
@@ -244,6 +292,44 @@ def test_search_respects_candidate_cap():
     assert result.candidates_tried == 2
     assert not result.exhausted
     assert result.codes == []
+
+
+def test_search_candidates_are_the_member_wise_funnel(monkeypatch):
+    # The pair table must hand the solver the same supports, in the same
+    # order, as expanding members and testing every subset.
+    solved = []
+    build = solver.build_qf_system
+    monkeypatch.setattr(solver, "build_qf_system",
+                        lambda d, N, support: solved.append(support)
+                        or build(d, N, support))
+    for d, N in ((3, 13), (5, 16)):
+        solved.clear()
+        result = search(d, N, 3, verify=lambda code: False)
+        expected = []
+        for subset in itertools.combinations(
+                iter_support_representatives(d, N), 3):
+            members = [m for rep in subset for m in expand_orbit(rep)]
+            if is_effectively_sparse(members)[0] and passes_prefilter(subset):
+                expected.append(subset)
+        assert solved == expected
+        assert result.candidates_tried == len(expected)
+
+
+def test_search_stops_at_its_time_budget(monkeypatch):
+    # Each reading of the clock is one second later, so a 2.5 s budget
+    # runs out at the third subset visited.  The first two are not sparse:
+    # reading the clock only for tried candidates would try two.
+    ticks = itertools.count()
+    monkeypatch.setattr(solver.time, "monotonic", lambda: next(ticks))
+    result = search(3, 13, 3, max_seconds=2.5)
+    assert not result.exhausted
+    assert result.candidates_tried == 0 and result.codes == []
+
+
+def test_search_rejects_nonpositive_time_budget():
+    for budget in (0, -1, -0.5, float("nan")):
+        with pytest.raises(InvalidInputError, match="max_seconds"):
+            search(3, 13, 3, max_seconds=budget)
 
 
 def test_search_with_custom_verifier():
