@@ -17,7 +17,7 @@ from typing import List, Optional
 from .arith import InvalidInputError, UnfactorableError
 from .codes import code_from_json, code_to_json, load_code
 from .combinatorics import check_occupation, enumerate_supports
-from .config import Config, load_config
+from .config import Config, check_scale, load_config
 from .oracle import dense_apply, dense_symmetric_vector, states_agree
 from .operators import StateVector, apply_generator, error_basis
 from .reptheory import branching_multiplicity, sym_dim
@@ -60,6 +60,7 @@ def cmd_branching(args, config: Config) -> int:
 
 
 def cmd_orbits(args, config: Config) -> int:
+    check_scale(args.d, args.N, config.max_d, config.max_n)
     reps = [list(o.representative)
             for o in enumerate_supports(args.d, args.N, args.limit)]
     _emit({"d": args.d, "N": args.N, "count": len(reps),
@@ -77,6 +78,7 @@ def cmd_check(args, config: Config) -> int:
 
 
 def cmd_solve(args, config: Config) -> int:
+    check_scale(args.d, args.N, config.max_d, config.max_n)
     support = [check_occupation(u, args.d, args.N)
                for u in _parse_support(args.support)]
     system = build_qf_system(args.d, args.N, support)
@@ -93,16 +95,14 @@ def cmd_solve(args, config: Config) -> int:
 
 
 def cmd_family(args, config: Config) -> int:
+    check_scale(args.d, None, config.max_d, config.max_n)
     code, note = family_code(args.d)
     _emit({"code": code_to_json(code), "discrepancy": note.to_json()})
     return 0
 
 
 def cmd_search(args, config: Config) -> int:
-    if args.d > config.max_d or args.N > config.max_n:
-        raise InvalidInputError(
-            f"(d={args.d}, N={args.N}) exceeds caps "
-            f"(d<={config.max_d}, N<={config.max_n})")
+    check_scale(args.d, args.N, config.max_d, config.max_n)
     result = search(args.d, args.N, args.k, max_candidates=args.max,
                     max_seconds=args.max_seconds,
                     verify=lambda code: kl_full(code, max_d=config.max_d,

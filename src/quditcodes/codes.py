@@ -15,12 +15,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum, multinomial
-from .combinatorics import (OccupationVector, TailOrbit, canonical_representative,
-                            cyclic_shift, expand_orbit, is_effectively_sparse,
-                            support_is_sparse, tail_orbit, weight)
+from .combinatorics import (OccupationVector, TailOrbit, cyclic_shift,
+                            expand_orbit, is_eligible, sparsity_violation,
+                            tail_orbit)
 from .operators import StateVector
 
 
@@ -96,10 +96,7 @@ def validate(code: Code) -> ValidationReport:
     seen = set()
     for entry in code.orbits:
         rep = entry.representative
-        if (len(rep) != code.d or sum(rep) != code.N
-                or rep != canonical_representative(rep)
-                or weight(rep) != 0
-                or any(x % code.d != rep[1] % code.d for x in rep[1:])):
+        if not is_eligible(rep, code.d, code.N):
             support_ok, support_witness = False, rep
             break
         if rep in seen:
@@ -120,13 +117,8 @@ def validate(code: Code) -> ValidationReport:
         total = total + (entry.amplitude * entry.amplitude) * (norm * orbit_size)
     report.record("normalization", total == RadicalSum.of(1), repr(total))
 
-    if support_is_sparse(code.support_representatives()):
-        report.record("sparsity", True)
-        return report
-    members = []
-    for entry in code.orbits:
-        members.extend(expand_orbit(entry.representative))
-    report.record("sparsity", *is_effectively_sparse(members))
+    violation = sparsity_violation(code.support_representatives())
+    report.record("sparsity", violation is None, violation)
     return report
 
 

@@ -92,13 +92,18 @@ def _orbit_members(rep: OccupationVector) -> Tuple[OccupationVector, ...]:
                         for perm in multiset_permutations(rep[1:])))
 
 
-def iter_support_representatives(d: int, N: int) -> Iterator[OccupationVector]:
-    """Canonical tail-orbit representatives with congruent tail entries and
-    weight 0, in lexicographic order.
+def is_eligible(u: Sequence[int], d: int, N: int) -> bool:
+    """u may carry an amplitude in a doubly permutation-invariant
+    weight-zero code word: a canonical representative of length d and sum
+    N, with weight 0 and tail entries congruent mod d."""
+    u = tuple(u)
+    return (len(u) == d and sum(u) == N and min(u) >= 0
+            and u == canonical_representative(u) and weight(u) == 0
+            and all((x - u[1]) % d == 0 for x in u[2:]))
 
-    These are exactly the occupation vectors eligible to carry an amplitude
-    in a doubly permutation-invariant weight-zero code word.
-    """
+
+def iter_support_representatives(d: int, N: int) -> Iterator[OccupationVector]:
+    """The vectors `is_eligible` accepts, in lexicographic order."""
     if d < 3 or d % 2 == 0:
         raise InvalidInputError(f"dimension must be odd and >= 3, got {d}")
     if N < 1:
@@ -228,6 +233,15 @@ def support_is_sparse(reps: Sequence[Sequence[int]]) -> bool:
     reps = sorted(map(tuple, reps))
     return all(orbits_compatible(r, s)
                for i, r in enumerate(reps) for s in reps[i:])
+
+
+def sparsity_violation(reps: Sequence[Sequence[int]]
+                       ) -> Optional[SparsityViolation]:
+    """None when the orbits of `reps` form an effectively sparse support,
+    else the member-wise witness of `is_effectively_sparse`."""
+    if support_is_sparse(reps):
+        return None
+    return is_effectively_sparse(m for rep in reps for m in expand_orbit(rep))[1]
 
 
 def expand_support(orbits: Iterable[TailOrbit]) -> List[OccupationVector]:

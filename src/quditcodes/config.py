@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields, replace
+from typing import Optional
 
 from .arith import InvalidInputError
 
@@ -33,6 +34,15 @@ class Config:
             if getattr(self, name) <= 0:
                 raise InvalidInputError(f"{name} must be positive")
         return self
+
+
+def check_scale(d: int, N: Optional[int], max_d: int, max_n: int) -> None:
+    """Refuse (d, N) beyond the caps; N=None checks d alone (`family`,
+    whose N = (d-1)**2 follows from d)."""
+    if d > max_d or (N is not None and N > max_n):
+        where = f"d={d}" if N is None else f"d={d}, N={N}"
+        raise InvalidInputError(
+            f"({where}) exceeds caps (d<={max_d}, N<={max_n})")
 
 
 def load_config(path: str | None = None) -> Config:

@@ -209,19 +209,13 @@ def states_agree(dense: DenseState, sparse: StateVector) -> bool:
         for u, (re, im) in image.items())
 
 
-def dense_kl(code: Code, mode: str = "exact",
-             tolerance: float = Config.float_tolerance,
-             term_cap: int = DEFAULT_TERM_CAP) -> KLReport:
-    """Full matrix-element check from digit-string images.
+def dense_kl(code: Code, term_cap: int = DEFAULT_TERM_CAP) -> KLReport:
+    """Full matrix-element check from digit-string images, in exact mode.
 
     The error basis acts on the dense code words; each collapsed image then
     goes through the same join and finalization as `kl_full`, so the
     reports can be compared field by field.
     """
-    for entry in code.orbits:
-        if multinomial(code.N, entry.representative).value() > term_cap:
-            raise InvalidInputError(
-                f"orbit {entry.representative} exceeds the term cap {term_cap}")
     width = 2 * len(code.orbits)
     words = dense_codewords(code, term_cap)
     basis = error_basis(code.d)
@@ -235,4 +229,5 @@ def dense_kl(code: Code, mode: str = "exact",
                 raise ValueError(f"dense image of code word {i} under "
                                  f"{op.name()} fails the collapse: {exc}"
                                  ) from exc
-    return _Gram(code, "full", mode, tolerance, basis, images).check_all_pairs()
+    return _Gram(code, "full", "exact", Config.float_tolerance, basis,
+                 images).check_all_pairs()

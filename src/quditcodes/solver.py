@@ -22,9 +22,10 @@ from .arith import (FactoredNatural, InvalidInputError, RadicalSum, factorize,
                     multinomial)
 from .codes import Code, OrbitAmplitude, validate
 from .combinatorics import (OccupationVector, TailOrbit, cyclic_shift,
-                            expand_orbit, is_effectively_sparse,
-                            iter_support_representatives, support_is_sparse,
-                            tail_orbit)
+                            expand_orbit, is_eligible,
+                            iter_support_representatives, sparsity_violation,
+                            support_is_sparse, tail_orbit)
+from .verifier import kl_full
 
 Row = Tuple[int, ...]
 
@@ -57,9 +58,12 @@ def build_qf_system(d: int, N: int,
     """
     orbits = tuple(tail_orbit(tuple(int(x) for x in rep)) for rep in support)
     reps = [o.representative for o in orbits]
-    if not support_is_sparse(reps):
-        members = [m for rep in reps for m in expand_orbit(rep)]
-        violation = is_effectively_sparse(members)[1]
+    for rep in reps:
+        if not is_eligible(rep, d, N):
+            raise InvalidInputError(
+                f"support vector {rep} is not eligible at (d={d}, N={N})")
+    violation = sparsity_violation(reps)
+    if violation is not None:
         raise InvalidInputError(f"support is not effectively sparse: {violation}")
     columns = [_qf_column(rep) for rep in reps]
     rows = tuple(tuple(column[n] for column in columns) for n in range(3))
@@ -303,7 +307,7 @@ def search(d: int, N: int, support_size: int,
     and keep solutions that pass full verification.
 
     `verify` takes a Code and returns bool; the default runs the full
-    matrix-element check (injected lazily to keep module layering acyclic).
+    matrix-element check.
     """
     if support_size < 2:
         raise InvalidInputError("support size must be at least 2")
@@ -317,7 +321,6 @@ def search(d: int, N: int, support_size: int,
         raise InvalidInputError(
             f"N={N} has residue {N % d} not coprime to d={d}")
     if verify is None:
-        from .verifier import kl_full
         verify = lambda code: kl_full(code).passed
 
     reps = list(iter_support_representatives(d, N))

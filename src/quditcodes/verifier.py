@@ -8,7 +8,8 @@ the four sufficient conditions that Heisenberg-Weyl symmetry leaves over
 difference alone and squared).  Level "qf" checks the three scalar
 quadratic forms that suffice for sparse doubly permutation-invariant
 codes.  All three levels evaluate their elements with one sparse Gram
-engine over Gaussian-integer slot vectors; see `_Gram`.
+engine over Gaussian-integer slot vectors and decide them by one rule,
+`_Gram.check`, so that each level is a short list of `check` calls.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .arith import ExactComplex, InvalidInputError, RadicalSum
 from .codes import Code, codeword_orbits, validate
 from .combinatorics import OccupationVector
-from .config import Config
+from .config import Config, check_scale
 from .operators import ErrorOperator, basis_norm, error_basis, generator_action
 
 # Exact elements, or their complex values in float mode.
@@ -185,11 +186,11 @@ class _Gram:
             return value.is_zero()
         return abs(value) <= self.report.tolerance
 
-    def element(self, ea: ErrorOperator, eb: ErrorOperator, i: int, j: int
-                ) -> Amplitude:
-        # Every basis element is Hermitian, so <i|Ea Eb|j> = (Ea|i>, Eb|j>).
+    def _element(self, a: int, b: int, i: int, j: int) -> Amplitude:
+        """<i|Ea Eb|j> for the operators with indices a and b.  Every basis
+        element is Hermitian, so this is (Ea|i>, Eb|j>)."""
         self.report.checked_elements += 1
-        sums = self.sums.get(((self.op_index[ea], i), (self.op_index[eb], j)))
+        sums = self.sums.get(((a, i), (b, j)))
         if sums is None:
             self.report.structural_zeros += 1
             return self.zero
@@ -201,42 +202,42 @@ class _Gram:
             self.report.arithmetic_zeros += 1
         return value
 
-    def check_pair(self, ea: ErrorOperator, eb: ErrorOperator) -> None:
-        """Off-diagonals vanish; diagonals match the first code word."""
+    def check(self, ea: ErrorOperator, eb: ErrorOperator,
+              cells: Sequence[Tuple[int, int]], ref: Tuple[int, int] = (0, 0),
+              vanish: bool = False) -> None:
+        """The one KL rule every level applies to an operator pair.
+
+        <ref|Ea Eb|ref> is recorded as the pair's constant, which must be
+        zero when `vanish` is set; then each cell (i, j) must vanish off the
+        diagonal and equal the constant on it.
+        """
         name = (ea.name(), eb.name())
-        if (self.op_index[ea], self.op_index[eb]) not in self.overlapping:
-            # All d**2 elements are structural zeros: constant 0, no violation.
-            self.report.checked_elements += self.d ** 2
-            self.report.structural_zeros += self.d ** 2
+        a, b = self.op_index[ea], self.op_index[eb]
+        if (a, b) not in self.overlapping:
+            # Every element is a structural zero: constant 0, no violation.
+            self.report.checked_elements += 1 + len(cells)
+            self.report.structural_zeros += 1 + len(cells)
             self.report.constants[name] = self.zero
             return
-        constant = self.element(ea, eb, 0, 0)
-        self.report.constants[name] = constant
-        for i in range(self.d):
-            for j in range(self.d):
-                if i == 0 and j == 0:
-                    continue
-                value = self.element(ea, eb, i, j)
-                if i != j:
-                    if not self.is_zero(value):
-                        self.report.violations.append(
-                            Violation(*name, i, j, value))
-                elif not self.is_zero(value - constant):
-                    self.report.violations.append(Violation(*name, i, j, value))
+        constant = self.report.constants[name] = self._element(a, b, *ref)
+        if vanish and not self.is_zero(constant):
+            self.report.violations.append(Violation(*name, *ref, constant))
+        for i, j in cells:
+            value = self._element(a, b, i, j)
+            if not self.is_zero(value - constant if i == j else value):
+                self.report.violations.append(Violation(*name, i, j, value))
 
     def check_all_pairs(self) -> KLReport:
-        """`check_pair` over all ordered pairs of the operators."""
+        """`check` of every cell but (0, 0) over all ordered operator pairs."""
+        cells = _cells_but_origin(self.d)
         for ea in self.op_index:
             for eb in self.op_index:
-                self.check_pair(ea, eb)
+                self.check(ea, eb, cells)
         return self.report
 
-    def require_zero(self, ea: ErrorOperator, eb: ErrorOperator,
-                     i: int, j: int) -> None:
-        value = self.element(ea, eb, i, j)
-        if not self.is_zero(value):
-            self.report.violations.append(
-                Violation(ea.name(), eb.name(), i, j, value))
+
+def _cells_but_origin(d: int) -> List[Tuple[int, int]]:
+    return [(i, j) for i in range(d) for j in range(d) if i or j]
 
 
 def _accumulate(acc: List[int], za: SlotVector, zb: SlotVector, norm: int,
@@ -254,17 +255,11 @@ def _accumulate(acc: List[int], za: SlotVector, zb: SlotVector, norm: int,
                 acc[n + 2 * p + 1] += norm * (ra * ib - ia * rb)
 
 
-def _check_scale(code: Code, max_d: int, max_n: int) -> None:
-    if code.d > max_d or code.N > max_n:
-        raise InvalidInputError(
-            f"code (d={code.d}, N={code.N}) exceeds caps (d<={max_d}, N<={max_n})")
-
-
 def kl_full(code: Code, mode: str = "exact",
             tolerance: float = Config.float_tolerance,
             max_d: int = Config.max_d, max_n: int = Config.max_n) -> KLReport:
     """All ordered pairs of error-basis elements over all code-word pairs."""
-    _check_scale(code, max_d, max_n)
+    check_scale(code.d, code.N, max_d, max_n)
     return _Gram(code, "full", mode, tolerance,
                  error_basis(code.d)).check_all_pairs()
 
@@ -275,34 +270,21 @@ def kl_reduced(code: Code, mode: str = "exact",
     """The four sufficient conditions left over by shift symmetry:
     single dit flips S(0,n) off-diagonal, all flip pairs, D(d-2), and
     D(l)D(d-2)."""
-    _check_scale(code, max_d, max_n)
+    check_scale(code.d, code.N, max_d, max_n)
     d = code.d
-    checker = _Gram(code, "reduced", mode, tolerance, error_basis(d))
-    identity = ErrorOperator("I")
-
-    # Single dit flips from symbol 0, off-diagonal elements only.
+    gram = _Gram(code, "reduced", mode, tolerance, error_basis(d))
+    identity, last = ErrorOperator("I"), ErrorOperator("D", d - 2)
+    off_diagonal = [(i, j) for i in range(d) for j in range(d) if i != j]
     for n in range(1, (d - 1) // 2 + 1):
-        op = ErrorOperator("S", 0, n)
-        checker.report.constants[(identity.name(), op.name())] = \
-            checker.element(identity, op, 0, 0)
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    checker.require_zero(identity, op, i, j)
-
-    # All ordered pairs of flips.
+        gram.check(identity, ErrorOperator("S", 0, n), off_diagonal)
     flips = [ErrorOperator(kind, p, q)
              for kind in ("S", "A") for p in range(d) for q in range(p + 1, d)]
-    for ea in flips:
-        for eb in flips:
-            checker.check_pair(ea, eb)
-
-    # Last phase difference, alone and against every phase difference.
-    last = ErrorOperator("D", d - 2)
-    checker.check_pair(identity, last)
-    for l in range(d - 1):
-        checker.check_pair(ErrorOperator("D", l), last)
-    return checker.report
+    pairs = [(ea, eb) for ea in flips for eb in flips] + [(identity, last)] + \
+        [(ErrorOperator("D", l), last) for l in range(d - 1)]
+    cells = _cells_but_origin(d)
+    for ea, eb in pairs:
+        gram.check(ea, eb, cells)
+    return gram.report
 
 
 def qf_check(code: Code, mode: str = "exact",
@@ -310,7 +292,7 @@ def qf_check(code: Code, mode: str = "exact",
              max_d: int = Config.max_d, max_n: int = Config.max_n) -> KLReport:
     """The three scalar quadratic forms for sparse doubly
     permutation-invariant codes; refuses codes that fail validation."""
-    _check_scale(code, max_d, max_n)
+    check_scale(code.d, code.N, max_d, max_n)
     structure = validate(code)
     if not structure.passed:
         failed = [name for name, ok in structure.checks.items() if not ok]
@@ -318,34 +300,22 @@ def qf_check(code: Code, mode: str = "exact",
             "quadratic-form check requires a normalized, weight-zero, "
             f"effectively sparse orbit-keyed code; failed checks: {failed}")
     d = code.d
-    identity = ErrorOperator("I")
-    last = ErrorOperator("D", d - 2)
+    identity, last = ErrorOperator("I"), ErrorOperator("D", d - 2)
     flip = ErrorOperator("S", 0, 1)
-    checker = _Gram(code, "qf", mode, tolerance, (identity, last, flip))
+    gram = _Gram(code, "qf", mode, tolerance, (identity, last, flip))
+    corner = (d - 1, d - 1)
+    gram.check(identity, last, [], ref=corner, vanish=True)
+    gram.check(last, last, [corner])
+    gram.check(flip, flip, [corner])
+    return gram.report
 
-    qf1 = checker.element(identity, last, d - 1, d - 1)
-    checker.report.constants[("I", last.name())] = qf1
-    if not checker.is_zero(qf1):
-        checker.report.violations.append(
-            Violation("I", last.name(), d - 1, d - 1, qf1))
 
-    for ea, eb in ((last, last), (flip, flip)):
-        lhs = checker.element(ea, eb, 0, 0)
-        rhs = checker.element(ea, eb, d - 1, d - 1)
-        checker.report.constants[(ea.name(), eb.name())] = lhs
-        if not checker.is_zero(lhs - rhs):
-            checker.report.violations.append(
-                Violation(ea.name(), eb.name(), d - 1, d - 1, rhs))
-    return checker.report
+LEVELS = {"full": kl_full, "reduced": kl_reduced, "qf": qf_check}
 
 
 def run_level(code: Code, level: str, mode: str = "exact",
               tolerance: float = Config.float_tolerance,
               max_d: int = Config.max_d, max_n: int = Config.max_n) -> KLReport:
-    if level == "full":
-        return kl_full(code, mode, tolerance, max_d, max_n)
-    if level == "reduced":
-        return kl_reduced(code, mode, tolerance, max_d, max_n)
-    if level == "qf":
-        return qf_check(code, mode, tolerance, max_d, max_n)
-    raise InvalidInputError(f"unknown level {level!r}")
+    if level not in LEVELS:
+        raise InvalidInputError(f"unknown level {level!r}")
+    return LEVELS[level](code, mode, tolerance, max_d, max_n)

@@ -106,6 +106,36 @@ def test_solve_malformed_support(capsys):
     assert status == 2
 
 
+def test_solve_refuses_an_ineligible_support_before_expanding_it(capsys):
+    # Within the caps, but the tail entries are not congruent mod d: the
+    # orbit has 12!/2! members, so the refusal must come first.
+    status, payload = run(capsys, "solve", "--d", "13", "--N", "64",
+                          "--support", "9,10,9,8,7,6,5,4,3,2,1,0,0")
+    assert status == 2
+    assert payload["error"]["type"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbits", "--d", "31", "--N", "2000"),
+    ("orbits", "--d", "3", "--N", "65"),
+    ("solve", "--d", "15", "--N", "16", "--support", "16" + ",0" * 14),
+    ("solve", "--d", "3", "--N", "65", "--support", "65,0,0"),
+    ("family", "--d", "15"),
+])
+def test_subcommands_refuse_inputs_beyond_the_caps(capsys, argv):
+    status, payload = run(capsys, *argv)
+    assert status == 2
+    assert payload["error"]["type"] == "InvalidInputError"
+
+
+def test_family_reads_only_the_d_cap(tmp_path, capsys):
+    # N = (d-1)**2 follows from d, so max_n does not apply.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"max_n": 10}))
+    status, _ = run(capsys, "--config", str(path), "family", "--d", "5")
+    assert status == 0
+
+
 def test_family(capsys):
     status, payload = run(capsys, "family", "--d", "5")
     assert status == 0

@@ -10,7 +10,7 @@ from quditcodes.codes import Code, OrbitAmplitude, validate
 from quditcodes.combinatorics import (canonical_representative, check_occupation,
                                       cyclic_shift, enumerate_supports,
                                       expand_orbit, expand_support,
-                                      is_effectively_sparse,
+                                      is_effectively_sparse, is_eligible,
                                       iter_support_representatives,
                                       orbits_compatible, sparsity_distance,
                                       support_is_sparse, tail_orbit, weight)
@@ -105,6 +105,13 @@ def brute_force_representatives(d, N):
 def test_representatives_match_brute_force(d, N):
     assert list(iter_support_representatives(d, N)) == \
         brute_force_representatives(d, N)
+
+
+@pytest.mark.parametrize("d, N", [(3, 13), (3, 7), (5, 6), (5, 16)])
+def test_eligible_vectors_are_the_enumerated_representatives(d, N):
+    eligible = [u for u in itertools.product(range(N + 1), repeat=d)
+                if is_eligible(u, d, N)]
+    assert eligible == list(iter_support_representatives(d, N))
 
 
 def test_known_representative_counts():

@@ -52,6 +52,16 @@ def test_system_rejects_non_sparse_support():
                                 (2, 3, 3, 3, 3, 3, 3)))
 
 
+@pytest.mark.parametrize("rep", [
+    (12, 1, 0),      # weight 1
+    (4, 9, 0, 0),    # wrong length
+    (13, 0, 1),      # wrong sum
+])
+def test_system_rejects_ineligible_vectors(rep):
+    with pytest.raises(InvalidInputError, match="not eligible"):
+        build_qf_system(3, 13, ((13, 0, 0), rep))
+
+
 def test_system_to_json():
     system = build_qf_system(3, 13, QUTRIT_SUPPORT)
     payload = system.to_json()

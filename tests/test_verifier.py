@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from quditcodes.arith import InvalidInputError
-from quditcodes.codes import Code
+from quditcodes.arith import InvalidInputError, RadicalSum, multinomial
+from quditcodes.codes import Code, OrbitAmplitude, validate
 from quditcodes.solver import family_code
 from quditcodes.verifier import (kl_full, kl_reduced, qf_check, run_level)
 
@@ -83,6 +83,19 @@ def test_reduced_check_agrees_with_full_on_corpus(corpus):
         assert reduced.passed == full.passed, name
 
 
+@pytest.mark.parametrize("name, counts", [
+    ("qutrit13", (358, 289, 21, 24)),
+    ("c2_d5_n16", (10167, 9944, 113, 0)),
+    ("c3_d7_n36", (86908, 86283, 317, 0)),
+    ("c4_d7_n20_eta6", (86908, 84597, 317, 1686)),
+])
+def test_reduced_check_counts_on_corpus(corpus, name, counts):
+    # (checked, structural zeros, arithmetic zeros, violations)
+    report = kl_reduced(corpus[name])
+    assert (report.checked_elements, report.structural_zeros,
+            report.arithmetic_zeros, len(report.violations)) == counts
+
+
 def test_reduced_check_is_smaller_than_full(corpus):
     code = corpus["c2_d5_n16"]
     assert kl_reduced(code).checked_elements < kl_full(code).checked_elements
@@ -99,6 +112,28 @@ def test_qf_check_values_on_qutrit(corpus):
     assert as_rational(report.constants[("D(1)", "D(1)")]) == 26
     assert as_rational(report.constants[("S(0,1)", "S(0,1)")]) == \
         Fraction(338, 9)
+
+
+def test_qf_check_reports_each_failing_form():
+    # The qutrit support with xi = 1/4 on every member: a valid code off
+    # the solution ray, so all three forms fail at the last code word.
+    support = ((13, 0, 0), (4, 9, 0), (3, 5, 5))
+    code = Code(3, 13, 1, tuple(
+        OrbitAmplitude(u, RadicalSum.sqrt(Fraction(1, 4)
+                                          / multinomial(13, u).value()))
+        for u in support))
+    assert validate(code).passed
+    report = qf_check(code)
+    assert (report.checked_elements, report.structural_zeros,
+            report.arithmetic_zeros) == (5, 0, 0)
+    assert {k: as_rational(v) for k, v in report.constants.items()} == {
+        ("I", "D(1)"): Fraction(-5, 2), ("D(1)", "D(1)"): Fraction(81, 2),
+        ("S(0,1)", "S(0,1)"): 35}
+    assert {(v.e, v.f, v.i, v.j): as_rational(v.value)
+            for v in report.violations} == {
+        ("I", "D(1)", 2, 2): Fraction(-5, 2),
+        ("D(1)", "D(1)", 2, 2): Fraction(107, 2),
+        ("S(0,1)", "S(0,1)", 2, 2): Fraction(39, 2)}
 
 
 def test_qf_check_passes_on_validated_corpus(corpus):
