@@ -17,16 +17,12 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
-from sympy import isprime
-from sympy.ntheory.factor_ import pollard_rho
-
 Rational = Union[int, Fraction]
 
-# Work budgets for integer factorization.  Paper-scale radicands factor
-# instantly; the caps make pathological inputs fail loudly instead of
+# Work budget for integer factorization.  Paper-scale radicands factor
+# instantly; the cap makes pathological inputs fail loudly instead of
 # hanging.
 TRIAL_BOUND = 10**6
-RHO_RETRIES = 16
 
 
 class UnfactorableError(Exception):
@@ -44,9 +40,9 @@ class InvalidInputError(ValueError):
 def factorize(n: int) -> Dict[int, int]:
     """Factor a positive integer into a prime -> exponent map.
 
-    Trial division up to ``TRIAL_BOUND``, then Pollard rho on whatever
-    composite cofactor remains.  Raises UnfactorableError when the budget
-    is exhausted.
+    Trial division alone: the cofactor left once f*f exceeds it is prime.
+    Raises UnfactorableError when f passes ``TRIAL_BOUND`` first, so every
+    n below about TRIAL_BOUND**2 = 10**12 factors, and no n hangs.
     """
     if n < 1:
         raise InvalidInputError(f"cannot factor non-positive integer {n}")
@@ -57,29 +53,16 @@ def factorize(n: int) -> Dict[int, int]:
             n //= p
     # 6k+-1 wheel.
     f = 5
-    while f <= TRIAL_BOUND and f * f <= n:
+    while f * f <= n:
+        if f > TRIAL_BOUND:
+            raise UnfactorableError(f"{n} has no prime factor below {TRIAL_BOUND}")
         for p in (f, f + 2):
             while n % p == 0:
                 factors[p] = factors.get(p, 0) + 1
                 n //= p
         f += 6
-    if n == 1:
-        return factors
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if isprime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        divisor = None
-        for seed in range(RHO_RETRIES):
-            divisor = pollard_rho(m, seed=seed + 1)
-            if divisor is not None:
-                break
-        if divisor is None or divisor in (1, m):
-            raise UnfactorableError(f"factorization budget exhausted on {m}")
-        stack.append(divisor)
-        stack.append(m // divisor)
+    if n > 1:
+        factors[n] = 1
     return factors
 
 

@@ -52,6 +52,7 @@ def _parse_support(text: str):
 
 
 def cmd_branching(args, config: Config) -> int:
+    check_scale(args.d, args.N, config.max_d, config.max_n)
     eta = args.eta if args.eta is not None else args.N % args.d
     _emit({"d": args.d, "N": args.N, "dim": sym_dim(args.d, args.N),
            "eta": eta,

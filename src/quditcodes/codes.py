@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum, multinomial
-from .combinatorics import (OccupationVector, TailOrbit, cyclic_shift,
-                            expand_orbit, is_eligible, sparsity_violation,
-                            tail_orbit)
+from .combinatorics import (OccupationVector, TailOrbit, check_occupation,
+                            cyclic_shift, expand_orbit, is_eligible,
+                            sparsity_violation, tail_orbit)
 from .operators import StateVector
 
 
@@ -169,13 +169,15 @@ def code_to_json(code: Code) -> dict:
 
 def code_from_json(data: dict) -> Code:
     try:
+        d, N = int(data["d"]), int(data["N"])
         orbits = tuple(
-            OrbitAmplitude(tuple(int(x) for x in o["representative"]),
-                           _amplitude_from_json(o["amplitude"]))
+            OrbitAmplitude(
+                check_occupation([int(x) for x in o["representative"]], d, N),
+                _amplitude_from_json(o["amplitude"]))
             for o in data["orbits"]
         )
-        return Code(int(data["d"]), int(data["N"]), int(data["eta"]), orbits)
-    except (KeyError, TypeError) as exc:
+        return Code(d, N, int(data["eta"]), orbits)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"malformed code file: {exc}") from exc
 
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from sympy.utilities.iterables import multiset_permutations
-
 from .arith import InvalidInputError
 
 OccupationVector = Tuple[int, ...]
@@ -87,9 +85,27 @@ def expand_orbit(rep: Sequence[int]) -> List[OccupationVector]:
 @lru_cache(maxsize=4096)
 def _orbit_members(rep: OccupationVector) -> Tuple[OccupationVector, ...]:
     # Distinct tail rearrangements only: the orbit size, not (d-1)!.
-    head = rep[0]
-    return tuple(sorted((head,) + tuple(perm)
-                        for perm in multiset_permutations(rep[1:])))
+    head = rep[:1]
+    return tuple(head + perm for perm in multiset_permutations(rep[1:]))
+
+
+def multiset_permutations(items: Iterable[int]) -> Iterator[Tuple[int, ...]]:
+    """Each distinct rearrangement of `items` once, in lexicographic order."""
+    perm = sorted(items)
+    while True:
+        yield tuple(perm)
+        # Next permutation: raise the last ascent to the smallest larger
+        # entry after it, then put the entries after it in increasing order.
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = reversed(perm[i + 1:])
 
 
 def is_eligible(u: Sequence[int], d: int, N: int) -> bool:

@@ -29,11 +29,10 @@ from collections import Counter, defaultdict
 from itertools import repeat
 from typing import Dict, Iterable, List, Tuple
 
-from sympy.utilities.iterables import multiset_permutations
-
 from .arith import ExactComplex, InvalidInputError, RadicalSum, multinomial
 from .codes import Code
-from .combinatorics import OccupationVector, expand_orbit
+from .combinatorics import (OccupationVector, expand_orbit,
+                            multiset_permutations)
 from .config import Config
 from .operators import ErrorOperator, StateVector, basis_norm, error_basis
 from .verifier import KLReport, SlotImage, SlotVector, _Gram
@@ -91,7 +90,7 @@ def dense_symmetric_vector(u: Iterable[int],
         raise InvalidInputError(
             f"{count} rearrangements of {u} exceed the term cap {term_cap}")
     digits = [x for x, n in enumerate(u) for _ in range(n)]
-    return {bytes(perm): 1 for perm in multiset_permutations(digits, N)}
+    return {bytes(perm): 1 for perm in multiset_permutations(digits)}
 
 
 def _site_matrix(op: ErrorOperator) -> Dict[int, Tuple[int, int]]:

@@ -1,13 +1,15 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditcodes.arith import (ExactComplex, FactoredNatural, InvalidInputError,
-                              RadicalSum, factorize, multinomial,
-                              squarefree_split)
+                              RadicalSum, UnfactorableError, factorize,
+                              multinomial, squarefree_split)
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 radicands = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 13, 15])
@@ -43,6 +45,22 @@ def test_factorize_rejects_nonpositive():
                                          (205, (1, 205))])
 def test_squarefree_split(n, expected):
     assert squarefree_split(n) == expected
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10 ** 12 - 1))
+def test_factorize_matches_sympy_below_the_trial_bound_squared(n):
+    assert factorize(n) == sympy.factorint(n)
+    square, squarefree = squarefree_split(n)
+    assert square ** 2 * squarefree == n
+    assert all(e == 1 for e in sympy.factorint(squarefree).values())
+
+
+def test_factorize_refuses_two_primes_above_the_trial_bound_at_once():
+    start = time.perf_counter()
+    with pytest.raises(UnfactorableError):
+        factorize((10 ** 6 + 3) * (10 ** 6 + 33))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_factorial_matches_math():

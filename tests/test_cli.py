@@ -1,5 +1,8 @@
+import functools
 import itertools
 import json
+import operator
+from importlib import resources
 
 import pytest
 
@@ -78,6 +81,41 @@ def test_check_invalid_code_exits_2(capsys):
     assert status == 2
 
 
+def qutrit13_file(tmp_path, keys, value):
+    """qutrit13.json with the entry at `keys` set to `value`, as a file."""
+    text = resources.files("quditcodes.data").joinpath("qutrit13.json").read_text()
+    data = json.loads(text)
+    functools.reduce(operator.getitem, keys[:-1], data)[keys[-1]] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("keys, value", [
+    (("orbits", 0, "amplitude", "coeff"), [1, 0]),
+    (("orbits", 0, "amplitude", "radicand"), [41, 0]),
+    (("orbits", 1, "representative"), [4, "x", 0]),
+    (("orbits", 1, "representative"), [4, 9]),
+    (("d",), 4),
+], ids=["coeff-denominator-0", "radicand-denominator-0", "non-integer-entry",
+        "short-representative", "even-d"])
+def test_check_malformed_code_file_exits_2(tmp_path, capsys, keys, value):
+    status, payload = run(capsys, "check",
+                          "--code", qutrit13_file(tmp_path, keys, value))
+    assert status == 2
+    assert payload["error"]["type"] == "InvalidInputError"
+
+
+def test_check_unfactorable_radicand_exits_2(tmp_path, capsys):
+    # nextprime(10**19) * nextprime(10**20): no factor below the trial bound.
+    radicand = 10000000000000000051 * 100000000000000000039
+    path = qutrit13_file(tmp_path, ("orbits", 0, "amplitude", "radicand"),
+                         [radicand, 1])
+    status, payload = run(capsys, "check", "--code", path)
+    assert status == 2
+    assert payload["error"]["type"] == "UnfactorableError"
+
+
 def test_solve(capsys):
     status, payload = run(capsys, "solve", "--d", "3", "--N", "13",
                           "--support", "13,0,0;4,9,0;3,5,5")
@@ -124,6 +162,12 @@ def test_solve_refuses_an_ineligible_support_before_expanding_it(capsys):
 ])
 def test_subcommands_refuse_inputs_beyond_the_caps(capsys, argv):
     status, payload = run(capsys, *argv)
+    assert status == 2
+    assert payload["error"]["type"] == "InvalidInputError"
+
+
+def test_branching_refuses_inputs_beyond_the_caps(capsys):
+    status, payload = run(capsys, "branching", "--d", "5001", "--N", "20002")
     assert status == 2
     assert payload["error"]["type"] == "InvalidInputError"
 

@@ -2,8 +2,9 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.utilities.iterables import multiset_permutations as sympy_permutations
 
 from quditcodes.arith import InvalidInputError, RadicalSum
 from quditcodes.codes import Code, OrbitAmplitude, validate
@@ -12,8 +13,9 @@ from quditcodes.combinatorics import (canonical_representative, check_occupation
                                       expand_orbit, expand_support,
                                       is_effectively_sparse, is_eligible,
                                       iter_support_representatives,
-                                      orbits_compatible, sparsity_distance,
-                                      support_is_sparse, tail_orbit, weight)
+                                      multiset_permutations, orbits_compatible,
+                                      sparsity_distance, support_is_sparse,
+                                      tail_orbit, weight)
 from quditcodes.solver import build_qf_system
 
 
@@ -78,6 +80,13 @@ def test_orbit_size_matches_expansion(u):
     tail = orbit.representative[1:]
     assert members == sorted({(u[0],) + perm
                               for perm in itertools.permutations(tail)})
+
+
+@example([])
+@given(st.lists(st.integers(0, 3), max_size=7))
+def test_multiset_permutations_match_sympy_in_order(items):
+    assert list(multiset_permutations(items)) == \
+        [tuple(perm) for perm in sympy_permutations(items)]
 
 
 def test_qutrit_orbit_sizes():
