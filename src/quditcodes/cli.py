@@ -16,13 +16,14 @@ from typing import List, Optional
 
 from .arith import InvalidInputError, UnfactorableError
 from .codes import code_from_json, code_to_json, load_code
-from .combinatorics import check_occupation, enumerate_supports
+from .combinatorics import (check_dimensions, check_occupation,
+                            enumerate_supports)
 from .config import Config, check_scale, load_config
 from .oracle import dense_apply, dense_symmetric_vector, states_agree
 from .operators import StateVector, apply_generator, error_basis
 from .reptheory import branching_multiplicity, sym_dim
 from .solver import build_qf_system, family_code, search, solve_system
-from .verifier import kl_full, run_level
+from .verifier import run_level
 
 DATA_PACKAGE = "quditcodes.data"
 
@@ -53,6 +54,7 @@ def _parse_support(text: str):
 
 def cmd_branching(args, config: Config) -> int:
     check_scale(args.d, args.N, config.max_d, config.max_n)
+    check_dimensions(args.d, args.N)
     eta = args.eta if args.eta is not None else args.N % args.d
     _emit({"d": args.d, "N": args.N, "dim": sym_dim(args.d, args.N),
            "eta": eta,
@@ -103,11 +105,9 @@ def cmd_family(args, config: Config) -> int:
 
 
 def cmd_search(args, config: Config) -> int:
-    check_scale(args.d, args.N, config.max_d, config.max_n)
     result = search(args.d, args.N, args.k, max_candidates=args.max,
-                    max_seconds=args.max_seconds,
-                    verify=lambda code: kl_full(code, max_d=config.max_d,
-                                                max_n=config.max_n).passed)
+                    max_seconds=args.max_seconds, max_d=config.max_d,
+                    max_n=config.max_n)
     _emit({"codes": [code_to_json(c) for c in result.codes],
            "candidates_tried": result.candidates_tried,
            "exhausted": result.exhausted})

@@ -140,8 +140,19 @@ def _amplitude_to_json(amp: RadicalSum) -> dict:
     }
 
 
+def _integer_from_json(x) -> int:
+    """A JSON number with an integral value.  A writer may print 13 as
+    13.0, so an integral float is read as that integer; a fraction such as
+    13.9, a string or a boolean is refused rather than truncated."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise InvalidInputError(f"expected an integer, got {x!r}")
+
+
 def _amplitude_from_json(data: dict) -> RadicalSum:
-    sign = int(data["sign"])
+    sign = _integer_from_json(data["sign"])
     if sign not in (1, -1):
         raise InvalidInputError(f"amplitude sign must be +-1, got {sign}")
     coeff = Fraction(*data["coeff"])
@@ -169,14 +180,15 @@ def code_to_json(code: Code) -> dict:
 
 def code_from_json(data: dict) -> Code:
     try:
-        d, N = int(data["d"]), int(data["N"])
+        d, N = _integer_from_json(data["d"]), _integer_from_json(data["N"])
         orbits = tuple(
             OrbitAmplitude(
-                check_occupation([int(x) for x in o["representative"]], d, N),
+                check_occupation([_integer_from_json(x)
+                                  for x in o["representative"]], d, N),
                 _amplitude_from_json(o["amplitude"]))
             for o in data["orbits"]
         )
-        return Code(d, N, int(data["eta"]), orbits)
+        return Code(d, N, _integer_from_json(data["eta"]), orbits)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"malformed code file: {exc}") from exc
 

@@ -118,12 +118,17 @@ def is_eligible(u: Sequence[int], d: int, N: int) -> bool:
             and all((x - u[1]) % d == 0 for x in u[2:]))
 
 
-def iter_support_representatives(d: int, N: int) -> Iterator[OccupationVector]:
-    """The vectors `is_eligible` accepts, in lexicographic order."""
+def check_dimensions(d: int, N: int) -> None:
+    """Refuse (d, N) outside the domain of the codes: odd d >= 3, N >= 1."""
     if d < 3 or d % 2 == 0:
         raise InvalidInputError(f"dimension must be odd and >= 3, got {d}")
     if N < 1:
         raise InvalidInputError(f"need N >= 1, got {N}")
+
+
+def iter_support_representatives(d: int, N: int) -> Iterator[OccupationVector]:
+    """The vectors `is_eligible` accepts, in lexicographic order."""
+    check_dimensions(d, N)
     reps = []
     for residue in range(d):
         for tail in _nonincreasing_tails(d - 1, N, residue, d, upper=N):

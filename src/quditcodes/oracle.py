@@ -14,12 +14,13 @@ only from the single-site matrices (`_site_matrix`) applied at every site
 of every digit string, and code words and their relabelings are built
 string by string.  Nothing here calls `operators.generator_action`.
 
-What is shared: `dense_kl` collapses each dense image to occupation classes
-and hands the class images to the verifier's `_Gram`, the join and
-finalization `kl_full` uses.  The collapse is a check, not a shortcut:
-every class u must hold exactly basis_norm(u) strings, all carrying one
-packed value, so that sum_s conj(a_s) b_s over strings equals the engine's
-norm-weighted sum over classes.  The join itself is guarded in the tests
+What is shared: `dense_kl` collapses each dense image to occupation classes,
+splits the class images by orbit and hands them to the verifier's
+`PairTables` and `_Gram`, the join and finalization `kl_full` uses.  The
+collapse is a check, not a shortcut: every class u must hold exactly
+basis_norm(u) strings, all carrying one packed value, so that
+sum_s conj(a_s) b_s over strings equals the engine's norm-weighted sum
+over classes.  The join itself is guarded in the tests
 by a naive evaluator built on `apply_generator` and `inner_product`.
 """
 
@@ -35,12 +36,14 @@ from .combinatorics import (OccupationVector, expand_orbit,
                             multiset_permutations)
 from .config import Config
 from .operators import ErrorOperator, StateVector, basis_norm, error_basis
-from .verifier import KLReport, SlotImage, SlotVector, _Gram
+from .verifier import KLReport, PairTables, _Gram
 
 DEFAULT_TERM_CAP = Config.oracle_term_cap
 
 DigitString = bytes
 DenseState = Dict[DigitString, int]
+# One Gaussian integer (re, im) per orbit, flattened to (re_0, im_0, ...).
+SlotVector = Tuple[int, ...]
 
 SLOT_BITS = 32
 _HALF = 1 << (SLOT_BITS - 1)   # every slot lies strictly inside (-_HALF, _HALF)
@@ -176,7 +179,8 @@ def dense_codewords(code: Code,
             for k in range(code.d)]
 
 
-def collapse(state: DenseState, d: int, width: int) -> SlotImage:
+def collapse(state: DenseState, d: int, width: int
+             ) -> Dict[OccupationVector, SlotVector]:
     """The slot vector of each occupation class of a dense state.
 
     Checks that the state is one vector per class: class u holds exactly
@@ -211,22 +215,29 @@ def states_agree(dense: DenseState, sparse: StateVector) -> bool:
 def dense_kl(code: Code, term_cap: int = DEFAULT_TERM_CAP) -> KLReport:
     """Full matrix-element check from digit-string images, in exact mode.
 
-    The error basis acts on the dense code words; each collapsed image then
-    goes through the same join and finalization as `kl_full`, so the
-    reports can be compared field by field.
+    The error basis acts on the dense code words; each collapsed image is
+    split into one image per orbit, and those go through the same pair
+    tables and finalization as `kl_full`, so the reports can be compared
+    field by field.
     """
-    width = 2 * len(code.orbits)
+    k = len(code.orbits)
     words = dense_codewords(code, term_cap)
     basis = error_basis(code.d)
-    images = {op: [] for op in basis}
+    images = []   # images[a][i]: the slot vector of each class, all orbits
     for op in basis:
+        images.append([])
         for i, word in enumerate(words):
             image = dense_apply(op, word, term_cap)
             try:
-                images[op].append(collapse(image, code.d, width))
+                images[-1].append(collapse(image, code.d, 2 * k))
             except ValueError as exc:
                 raise ValueError(f"dense image of code word {i} under "
                                  f"{op.name()} fails the collapse: {exc}"
                                  ) from exc
-    return _Gram(code, "full", "exact", Config.float_tolerance, basis,
-                 images).check_all_pairs()
+    tables = PairTables(code.d, basis)
+    for o in range(k):
+        tables.add_images(o, [[{u: z[2 * o:2 * o + 2] for u, z in image.items()
+                                if z[2 * o] or z[2 * o + 1]}
+                               for image in row] for row in images])
+    return _Gram(code, "full", "exact", Config.float_tolerance, tables,
+                 range(k)).check_all_pairs()

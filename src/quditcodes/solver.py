@@ -25,7 +25,9 @@ from .combinatorics import (OccupationVector, TailOrbit, cyclic_shift,
                             expand_orbit, is_eligible,
                             iter_support_representatives, sparsity_violation,
                             support_is_sparse, tail_orbit)
-from .verifier import kl_full
+from .config import Config, check_scale
+from .operators import error_basis
+from .verifier import PairTables, kl_full
 
 Row = Tuple[int, ...]
 
@@ -302,13 +304,16 @@ class SearchResult:
 def search(d: int, N: int, support_size: int,
            max_candidates: Optional[int] = None,
            max_seconds: Optional[float] = None,
-           verify=None) -> SearchResult:
+           verify=None, max_d: int = Config.max_d,
+           max_n: int = Config.max_n) -> SearchResult:
     """Stream effectively-sparse supports of the given size, solve each,
     and keep solutions that pass full verification.
 
-    `verify` takes a Code and returns bool; the default runs the full
-    matrix-element check.
+    (d, N) must lie within the caps `max_d` and `max_n`.  `verify` takes a
+    Code and returns bool; the default runs the full matrix-element check,
+    with one set of pair tables shared by every code of this call.
     """
+    check_scale(d, N, max_d, max_n)
     if support_size < 2:
         raise InvalidInputError("support size must be at least 2")
     if max_candidates is not None and max_candidates < 1:
@@ -321,7 +326,9 @@ def search(d: int, N: int, support_size: int,
         raise InvalidInputError(
             f"N={N} has residue {N % d} not coprime to d={d}")
     if verify is None:
-        verify = lambda code: kl_full(code).passed
+        tables = PairTables(d, error_basis(d))
+        verify = lambda code: kl_full(code, max_d=max_d, max_n=max_n,
+                                      _tables=tables).passed
 
     reps = list(iter_support_representatives(d, N))
     deadline = None if max_seconds is None else time.monotonic() + max_seconds

@@ -8,8 +8,9 @@ the four sufficient conditions that Heisenberg-Weyl symmetry leaves over
 difference alone and squared).  Level "qf" checks the three scalar
 quadratic forms that suffice for sparse doubly permutation-invariant
 codes.  All three levels evaluate their elements with one sparse Gram
-engine over Gaussian-integer slot vectors and decide them by one rule,
-`_Gram.check`, so that each level is a short list of `check` calls.
+engine, assembled per code from amplitude-free orbit-pair tables
+(`PairTables`), and decide them by one rule, `_Gram.check`, so that each
+level is a short list of `check` calls.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum
-from .codes import Code, codeword_orbits, validate
-from .combinatorics import OccupationVector
+from .codes import Code, validate
+from .combinatorics import (OccupationVector, canonical_representative,
+                            cyclic_shift, expand_orbit)
 from .config import Config, check_scale
 from .operators import ErrorOperator, basis_norm, error_basis, generator_action
 
@@ -93,47 +95,136 @@ class KLReport:
         }
 
 
-# A slot vector holds one Gaussian integer (re, im) per orbit, flattened to
-# (re_0, im_0, re_1, im_1, ...): the coefficient of a basis vector is
-# sum_o (re_o + i*im_o) * alpha_o.
-SlotVector = Tuple[int, ...]
-# An operator applied to a code word: occupation vector -> slot vector.
-SlotImage = Dict[OccupationVector, SlotVector]
+# One operator applied to the members of one orbit in one code word:
+# occupation vector -> Gaussian integer (re, im), with no zero entries.
+OrbitImage = Dict[OccupationVector, Tuple[int, int]]
+# The element <i|Ea Eb|j> of operators a, b out of n at dimension d has the
+# key ((a*n + b)*d + i)*d + j: the left part a*n*d*d + i*d of image (a, i)
+# plus the right part b*d*d + j of image (b, j).  An orbit index maps each
+# occupation vector to the entries (left, right, re, im) of the orbit's
+# images that hold it.
+OrbitIndex = Dict[OccupationVector, List[Tuple[int, int, int, int]]]
+# Element key -> [re, im] of sum_u <S_u|S_u> conj(a(u)) b(u) over the
+# vectors u shared by the images of one ordered orbit pair.
+PairTable = Dict[int, List[int]]
 
 
-def _slot_image(op: ErrorOperator, word: Dict[OccupationVector, int],
-                width: int) -> SlotImage:
-    """op applied to a code word given as occupation vector -> orbit index."""
+class PairTables:
+    """The amplitude-free part of every Gram matrix over one operator list.
+
+    An element is sum_{o,p} alpha_o alpha_p sums_op, where the Gaussian
+    integers sums_op come from the images of orbits o and p alone.  So each
+    orbit's images are built once (its index), and each ordered orbit
+    pair's sums once (its pair table), whatever the amplitudes and
+    whichever code the orbits sit in.  A pair table records an element key
+    whenever the two images share a vector, even when the sum is 0, so a key
+    absent from every table of a code is a structural zero.  Orbits are
+    keyed by canonical representative and built from `generator_action` on
+    first use, unless `add_images` supplied them; `search` keeps one
+    instance for the length of a call, every other caller one per check.
+    """
+
+    def __init__(self, d: int, ops: Sequence[ErrorOperator]):
+        self.d = d
+        self.ops = list(ops)
+        self.names = [op.name() for op in self.ops]
+        self._indexes: Dict[Hashable, OrbitIndex] = {}
+        self._tables: Dict[Tuple[Hashable, Hashable], PairTable] = {}
+
+    def add_images(self, key: Hashable,
+                   images: Sequence[Sequence[OrbitImage]]) -> None:
+        """Index `images[a][i]`, operator a applied to the orbit's members
+        in code word i, under `key`."""
+        d, n = self.d, len(self.ops)
+        index: OrbitIndex = defaultdict(list)
+        for a, op_images in enumerate(images):
+            for i, image in enumerate(op_images):
+                left, right = (a * n * d + i) * d, a * d * d + i
+                for u, (re, im) in image.items():
+                    index[u].append((left, right, re, im))
+        self._indexes[key] = dict(index)
+
+    def _index(self, rep: OccupationVector) -> OrbitIndex:
+        if rep not in self._indexes:
+            words = [[cyclic_shift(m, i) for m in expand_orbit(rep)]
+                     for i in range(self.d)]
+            self.add_images(rep, [[_orbit_image(op, word) for word in words]
+                                  for op in self.ops])
+        return self._indexes[rep]
+
+    def pair(self, o: Hashable, p: Hashable) -> PairTable:
+        """The pair table of orbit o on the left (conjugated) and p on the
+        right."""
+        table = self._tables.get((o, p))
+        if table is None:
+            table = self._tables[(o, p)] = _join(self._index(o),
+                                                 self._index(p))
+        return table
+
+
+def _orbit_image(op: ErrorOperator, members: Sequence[OccupationVector]
+                 ) -> OrbitImage:
     out: Dict[OccupationVector, List[int]] = {}
-    for u, o in word.items():
+    for u in members:
         for v, re, im in generator_action(op, u):
-            slots = out.get(v)
-            if slots is None:
-                slots = out[v] = [0] * width
-            slots[2 * o] += re
-            slots[2 * o + 1] += im
-    return {v: tuple(z) for v, z in out.items() if any(z)}
+            z = out.get(v)
+            if z is None:
+                out[v] = [re, im]
+            else:
+                z[0] += re
+                z[1] += im
+    return {v: (re, im) for v, (re, im) in out.items() if re or im}
+
+
+def _join(left: OrbitIndex, right: OrbitIndex) -> PairTable:
+    """sum_u <S_u|S_u> conj(a(u)) b(u) per element key, over the vectors u
+    the two orbits' images share."""
+    table: PairTable = {}
+    for u in left.keys() & right.keys():
+        norm = basis_norm(u)
+        others = right[u]
+        for lkey, _, ra, ia in left[u]:
+            ra *= norm
+            ia *= norm
+            for _, rkey, rb, ib in others:
+                re, im = ra * rb + ia * ib, ra * ib - ia * rb
+                acc = table.get(lkey + rkey)
+                if acc is None:
+                    table[lkey + rkey] = [re, im]
+                else:
+                    acc[0] += re
+                    acc[1] += im
+    return table
+
+
+def _orbit_keys(code: Code) -> List[Optional[OccupationVector]]:
+    """Each orbit's canonical representative, or None for an orbit whose
+    members a later orbit of the code repeats: a code word gives a shared
+    vector the later orbit's amplitude (`codes.codeword_orbits`)."""
+    if not code.orbits:
+        raise InvalidInputError("code has no support orbits")
+    keys = [canonical_representative(entry.representative)
+            for entry in code.orbits]
+    return [None if key in keys[o + 1:] else key for o, key in enumerate(keys)]
 
 
 class _Gram:
-    """Every <Ea i|Eb j> over one set of operators, by an image-index join.
+    """Every <Ea i|Eb j> of one code, assembled from its pair tables.
 
-    Each operator is applied once to each code word.  An index from
-    occupation vector to the image terms holding it gives, for every pair
-    of images that share a key, the integer sums
-    sum_u <S_u|S_u> conj(a_o(u)) b_p(u) per orbit pair (o, p).  An element
-    is then sum_{o,p} alpha_o alpha_p sums[o][p], so radicals enter once
-    per element whose images overlap; an image pair with no shared key is
-    a structural zero and never reaches the arithmetic.
+    The k*k pair tables of the code's orbits give, per element key, the
+    flat vector sums[o][p] = (re, im) of Gaussian integers; an element is
+    then sum_{o,p} alpha_o alpha_p sums[o][p], so radicals enter once per
+    distinct sums vector, and a key in no table is a structural zero that
+    never reaches the arithmetic.  Elements share few sums vectors, so each
+    distinct one is evaluated (and decided zero or not) once per code.
     """
 
     def __init__(self, code: Code, level: str, mode: str, tolerance: float,
-                 ops: Sequence[ErrorOperator],
-                 images: Optional[Mapping[ErrorOperator,
-                                          Sequence[SlotImage]]] = None):
-        """`images[op][i]` is op applied to code word i, with no zero slot
-        vectors; when left out, the images come from `generator_action`."""
-        self.d = code.d
+                 tables: PairTables, keys: Sequence[Optional[Hashable]]):
+        """`keys[o]` names orbit o of the code in `tables`; None leaves it
+        out."""
+        self.d, self.n = tables.d, len(tables.ops)
+        self.names = tables.names
         self.report = KLReport(level, mode, tolerance)
         self.float_mode = mode == "float"
         self.zero: Amplitude = complex(0.0) if self.float_mode else ExactComplex.ZERO
@@ -148,30 +239,31 @@ class _Gram:
         self.radicals = [
             (r, [int(p.terms.get(r, 0) * self.denominator) for p in products])
             for r in sorted({r for p in products for r in p.terms})]
-        if images is None:
-            words = [codeword_orbits(code, i) for i in range(code.d)]
-        self.op_index = {op: n for n, op in enumerate(ops)}
 
-        index: Dict[OccupationVector, list] = defaultdict(list)
-        for n, op in enumerate(ops):
-            op_images = images[op] if images is not None else (
-                _slot_image(op, word, 2 * k) for word in words)
-            for i, image in enumerate(op_images):
-                for u, z in image.items():
-                    index[u].append(((n, i), z))
-        self.sums: Dict[tuple, List[int]] = {}
-        for u, entries in index.items():
-            norm = basis_norm(u)
-            for a, za in entries:
-                for b, zb in entries:
-                    acc = self.sums.get((a, b))
+        sums: Dict[int, List[int]] = {}
+        for o, ko in enumerate(keys):
+            for p, kp in enumerate(keys):
+                if ko is None or kp is None:
+                    continue
+                slot = 2 * (o * k + p)
+                for key, (re, im) in tables.pair(ko, kp).items():
+                    acc = sums.get(key)
                     if acc is None:
-                        acc = self.sums[(a, b)] = [0] * (2 * k * k)
-                    _accumulate(acc, za, zb, norm, k)
-        # Operator pairs with at least one image pair sharing a key.
-        self.overlapping = {(a[0], b[0]) for a, b in self.sums}
+                        acc = sums[key] = [0] * (2 * k * k)
+                    acc[slot] = re
+                    acc[slot + 1] = im
+        # Each element key -> the id of its sums vector; `_values[id]` is
+        # (value, is zero) once evaluated.
+        ids: Dict[tuple, int] = {}
+        self.sums_id = {key: ids.setdefault(tuple(acc), len(ids))
+                        for key, acc in sums.items()}
+        self._sums = list(ids)
+        self._values: List[Optional[Tuple[Amplitude, bool]]] = [None] * len(ids)
+        self._differences: Dict[Tuple[int, int], bool] = {}
+        # Operator pairs a*n + b with at least one image pair sharing a key.
+        self.overlapping = {key // (self.d * self.d) for key in self.sums_id}
 
-    def _combine(self, sums: List[int]) -> RadicalSum:
+    def _combine(self, sums: Sequence[int]) -> RadicalSum:
         """sum_n alpha_o alpha_p * sums[n] over the products n = (o, p),
         exactly: the real or imaginary part of an element."""
         terms = {}
@@ -186,53 +278,78 @@ class _Gram:
             return value.is_zero()
         return abs(value) <= self.report.tolerance
 
-    def _element(self, a: int, b: int, i: int, j: int) -> Amplitude:
-        """<i|Ea Eb|j> for the operators with indices a and b.  Every basis
-        element is Hermitian, so this is (Ea|i>, Eb|j>)."""
+    def _element(self, key: int) -> Tuple[Optional[int], Amplitude, bool]:
+        """(sums id, value, is zero) of the element with this key; the id
+        is None for a structural zero.  Every basis element is Hermitian,
+        so <i|Ea Eb|j> is (Ea|i>, Eb|j>)."""
         self.report.checked_elements += 1
-        sums = self.sums.get(((a, i), (b, j)))
-        if sums is None:
+        sid = self.sums_id.get(key)
+        if sid is None:
             self.report.structural_zeros += 1
-            return self.zero
-        value = ExactComplex(self._combine(sums[0::2]),
-                             self._combine(sums[1::2]))
-        if self.float_mode:
-            value = value.to_complex()
-        if self.is_zero(value):
+            return None, self.zero, True
+        known = self._values[sid]
+        if known is None:
+            sums = self._sums[sid]
+            value = ExactComplex(self._combine(sums[0::2]),
+                                 self._combine(sums[1::2]))
+            if self.float_mode:
+                value = value.to_complex()
+            known = self._values[sid] = (value, self.is_zero(value))
+        if known[1]:
             self.report.arithmetic_zeros += 1
-        return value
+        return (sid,) + known
 
-    def check(self, ea: ErrorOperator, eb: ErrorOperator,
-              cells: Sequence[Tuple[int, int]], ref: Tuple[int, int] = (0, 0),
-              vanish: bool = False) -> None:
-        """The one KL rule every level applies to an operator pair.
+    def _agrees(self, sid: Optional[int], zero: bool,
+                cid: Optional[int], constant_zero: bool) -> bool:
+        """Whether value - constant is zero, for an element and a constant
+        given by their sums ids and zero verdicts from `_element`."""
+        if sid == cid:
+            return True
+        if sid is None or cid is None:
+            # A structural zero drops out of the difference.
+            return constant_zero if sid is None else zero
+        agrees = self._differences.get((sid, cid))
+        if agrees is None:
+            agrees = self._differences[(sid, cid)] = self.is_zero(
+                self._values[sid][0] - self._values[cid][0])
+        return agrees
+
+    def check(self, a: int, b: int, cells: Sequence[Tuple[int, int]],
+              ref: Tuple[int, int] = (0, 0), vanish: bool = False) -> None:
+        """The one KL rule every level applies to an operator pair, given
+        by indices into the operator list.
 
         <ref|Ea Eb|ref> is recorded as the pair's constant, which must be
         zero when `vanish` is set; then each cell (i, j) must vanish off the
         diagonal and equal the constant on it.
         """
-        name = (ea.name(), eb.name())
-        a, b = self.op_index[ea], self.op_index[eb]
-        if (a, b) not in self.overlapping:
+        name = (self.names[a], self.names[b])
+        d = self.d
+        pair = a * self.n + b
+        if pair not in self.overlapping:
             # Every element is a structural zero: constant 0, no violation.
             self.report.checked_elements += 1 + len(cells)
             self.report.structural_zeros += 1 + len(cells)
             self.report.constants[name] = self.zero
             return
-        constant = self.report.constants[name] = self._element(a, b, *ref)
-        if vanish and not self.is_zero(constant):
+        base = pair * d * d
+        cid, constant, constant_zero = self._element(base + ref[0] * d + ref[1])
+        self.report.constants[name] = constant
+        if vanish and not constant_zero:
             self.report.violations.append(Violation(*name, *ref, constant))
         for i, j in cells:
-            value = self._element(a, b, i, j)
-            if not self.is_zero(value - constant if i == j else value):
+            sid, value, zero = self._element(base + i * d + j)
+            if i == j:
+                zero = self._agrees(sid, zero, cid, constant_zero)
+            if not zero:
                 self.report.violations.append(Violation(*name, i, j, value))
 
     def check_all_pairs(self) -> KLReport:
         """`check` of every cell but (0, 0) over all ordered operator pairs."""
         cells = _cells_but_origin(self.d)
-        for ea in self.op_index:
-            for eb in self.op_index:
-                self.check(ea, eb, cells)
+        for a in range(self.n):
+            for b in range(self.n):
+                self.check(a, b, cells)
         return self.report
 
 
@@ -240,28 +357,21 @@ def _cells_but_origin(d: int) -> List[Tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(d) if i or j]
 
 
-def _accumulate(acc: List[int], za: SlotVector, zb: SlotVector, norm: int,
-                k: int) -> None:
-    """acc[o][p] += norm * conj(za[o]) * zb[p], as flat (re, im) pairs."""
-    for o in range(k):
-        ra, ia = za[2 * o], za[2 * o + 1]
-        if not (ra or ia):
-            continue
-        n = 2 * k * o
-        for p in range(k):
-            rb, ib = zb[2 * p], zb[2 * p + 1]
-            if rb or ib:
-                acc[n + 2 * p] += norm * (ra * rb + ia * ib)
-                acc[n + 2 * p + 1] += norm * (ra * ib - ia * rb)
-
-
 def kl_full(code: Code, mode: str = "exact",
             tolerance: float = Config.float_tolerance,
-            max_d: int = Config.max_d, max_n: int = Config.max_n) -> KLReport:
-    """All ordered pairs of error-basis elements over all code-word pairs."""
+            max_d: int = Config.max_d, max_n: int = Config.max_n,
+            *, _tables: Optional[PairTables] = None) -> KLReport:
+    """All ordered pairs of error-basis elements over all code-word pairs.
+
+    `_tables` is for `search`, which shares one `PairTables` of
+    `error_basis(d)` over the codes it checks; by default the tables are
+    built for this call alone.
+    """
     check_scale(code.d, code.N, max_d, max_n)
-    return _Gram(code, "full", mode, tolerance,
-                 error_basis(code.d)).check_all_pairs()
+    if _tables is None:
+        _tables = PairTables(code.d, error_basis(code.d))
+    return _Gram(code, "full", mode, tolerance, _tables,
+                 _orbit_keys(code)).check_all_pairs()
 
 
 def kl_reduced(code: Code, mode: str = "exact",
@@ -272,15 +382,18 @@ def kl_reduced(code: Code, mode: str = "exact",
     D(l)D(d-2)."""
     check_scale(code.d, code.N, max_d, max_n)
     d = code.d
-    gram = _Gram(code, "reduced", mode, tolerance, error_basis(d))
-    identity, last = ErrorOperator("I"), ErrorOperator("D", d - 2)
+    basis = error_basis(d)
+    index = {op: n for n, op in enumerate(basis)}
+    gram = _Gram(code, "reduced", mode, tolerance, PairTables(d, basis),
+                 _orbit_keys(code))
+    identity, last = index[ErrorOperator("I")], index[ErrorOperator("D", d - 2)]
     off_diagonal = [(i, j) for i in range(d) for j in range(d) if i != j]
     for n in range(1, (d - 1) // 2 + 1):
-        gram.check(identity, ErrorOperator("S", 0, n), off_diagonal)
-    flips = [ErrorOperator(kind, p, q)
+        gram.check(identity, index[ErrorOperator("S", 0, n)], off_diagonal)
+    flips = [index[ErrorOperator(kind, p, q)]
              for kind in ("S", "A") for p in range(d) for q in range(p + 1, d)]
     pairs = [(ea, eb) for ea in flips for eb in flips] + [(identity, last)] + \
-        [(ErrorOperator("D", l), last) for l in range(d - 1)]
+        [(index[ErrorOperator("D", l)], last) for l in range(d - 1)]
     cells = _cells_but_origin(d)
     for ea, eb in pairs:
         gram.check(ea, eb, cells)
@@ -300,9 +413,10 @@ def qf_check(code: Code, mode: str = "exact",
             "quadratic-form check requires a normalized, weight-zero, "
             f"effectively sparse orbit-keyed code; failed checks: {failed}")
     d = code.d
-    identity, last = ErrorOperator("I"), ErrorOperator("D", d - 2)
-    flip = ErrorOperator("S", 0, 1)
-    gram = _Gram(code, "qf", mode, tolerance, (identity, last, flip))
+    ops = (ErrorOperator("I"), ErrorOperator("D", d - 2), ErrorOperator("S", 0, 1))
+    gram = _Gram(code, "qf", mode, tolerance, PairTables(d, ops),
+                 _orbit_keys(code))
+    identity, last, flip = range(3)
     corner = (d - 1, d - 1)
     gram.check(identity, last, [], ref=corner, vanish=True)
     gram.check(last, last, [corner])

@@ -172,6 +172,14 @@ def test_branching_refuses_inputs_beyond_the_caps(capsys):
     assert payload["error"]["type"] == "InvalidInputError"
 
 
+@pytest.mark.parametrize("d, N", [(0, 5), (1, 5), (4, 5), (3, 0), (3, -2)])
+def test_branching_refuses_inputs_outside_the_code_domain(capsys, d, N):
+    # The domain `orbits` and `solve` accept: odd d >= 3 and N >= 1.
+    status, payload = run(capsys, "branching", "--d", str(d), "--N", str(N))
+    assert status == 2
+    assert payload["error"]["type"] == "InvalidInputError"
+
+
 def test_family_reads_only_the_d_cap(tmp_path, capsys):
     # N = (d-1)**2 follows from d, so max_n does not apply.
     path = tmp_path / "config.json"

@@ -136,3 +136,32 @@ def test_file_format_restricts_amplitude_shape():
     code = Code(3, 13, 1, (OrbitAmplitude((13, 0, 0), two_terms),))
     with pytest.raises(InvalidInputError):
         code_to_json(code)
+
+
+def qutrit13_with(**edits):
+    """qutrit13's JSON with the given top-level keys or, under `rep`, the
+    first representative replaced."""
+    data = code_to_json(shipped_code("qutrit13"))
+    rep = edits.pop("rep", None)
+    if rep is not None:
+        data["orbits"][0]["representative"] = rep
+    data.update(edits)
+    return data
+
+
+@pytest.mark.parametrize("edits", [
+    {"rep": [13.9, 0.5, 0]}, {"rep": [12.5, 0.5, 0]}, {"rep": ["13", 0, 0]},
+    {"rep": [True, 12, 0]}, {"d": 3.5}, {"N": 13.2}, {"eta": 1.5},
+], ids=["truncating-floats", "summing-floats", "string", "boolean", "d",
+        "N", "eta"])
+def test_non_integral_numbers_are_refused(edits):
+    with pytest.raises(InvalidInputError, match="expected an integer"):
+        code_from_json(qutrit13_with(**edits))
+
+
+def test_integral_floats_are_read_as_integers():
+    # JSON does not tell 13 from 13.0, so an integral float loads as the
+    # integer it spells.
+    code = code_from_json(qutrit13_with(rep=[13.0, 0.0, 0], d=3.0, N=13.0))
+    assert code == shipped_code("qutrit13")
+    assert all(type(x) is int for x in code.orbits[0].representative)

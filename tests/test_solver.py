@@ -1,4 +1,5 @@
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,9 @@ from quditcodes.combinatorics import (expand_orbit, is_effectively_sparse,
                                       iter_support_representatives)
 from quditcodes.solver import (build_qf_system, family_code, family_support,
                                passes_prefilter, search, solve_system)
+from quditcodes.verifier import kl_full
+
+from conftest import reports_identical
 
 QUTRIT_SUPPORT = ((13, 0, 0), (4, 9, 0), (3, 5, 5))
 
@@ -354,3 +358,50 @@ def test_search_rejects_candidate_cap_below_one():
     for cap in (0, -1):
         with pytest.raises(InvalidInputError):
             search(3, 13, 3, max_candidates=cap)
+
+
+# ---------------------------------------------------------------------------
+# pair tables shared by one search
+
+
+def record_full_checks(monkeypatch):
+    """Route solver.kl_full through a wrapper; each call appends its code,
+    the `_tables` it was given and its report."""
+    calls = []
+    check = solver.kl_full
+
+    def recording(code, *args, **kwargs):
+        report = check(code, *args, **kwargs)
+        calls.append((code, kwargs.get("_tables"), report))
+        return report
+    monkeypatch.setattr(solver, "kl_full", recording)
+    return calls
+
+
+@pytest.mark.parametrize("d, N", [(3, 13), (5, 16)])
+def test_search_tables_give_the_reports_of_a_fresh_full_check(monkeypatch,
+                                                              d, N):
+    calls = record_full_checks(monkeypatch)
+    search(d, N, 3)
+    assert calls
+    assert len({id(tables) for _, tables, _ in calls}) == 1
+    for code, tables, report in calls:
+        assert tables is not None
+        assert reports_identical(report, kl_full(code))
+
+
+def test_search_drops_its_tables_when_it_returns(monkeypatch):
+    calls = record_full_checks(monkeypatch)
+    search(3, 13, 3)
+    tables = weakref.ref(calls[0][1])
+    calls.clear()
+    assert tables() is None
+
+
+def test_search_refuses_inputs_beyond_its_caps():
+    with pytest.raises(InvalidInputError, match="exceeds caps"):
+        search(3, 70, 2)
+    with pytest.raises(InvalidInputError, match="exceeds caps"):
+        search(5, 16, 3, max_d=3)
+    result = search(3, 70, 2, max_candidates=20, max_n=128)
+    assert result.candidates_tried == 20 and not result.exhausted

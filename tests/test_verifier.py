@@ -4,8 +4,12 @@ import pytest
 
 from quditcodes.arith import InvalidInputError, RadicalSum, multinomial
 from quditcodes.codes import Code, OrbitAmplitude, validate
+from quditcodes.operators import error_basis
 from quditcodes.solver import family_code
-from quditcodes.verifier import (kl_full, kl_reduced, qf_check, run_level)
+from quditcodes.verifier import (PairTables, kl_full, kl_reduced, qf_check,
+                                 run_level)
+
+from conftest import reports_identical
 
 
 def as_rational(value):
@@ -70,6 +74,24 @@ def test_full_check_passes_on_family_d13():
     report = kl_full(code, max_n=144)
     assert report.passed
     assert report.checked_elements == 13 ** 6
+
+
+def test_shared_tables_keep_each_codes_own_report(corpus):
+    # qutrit13 and its criterion-08 tampered twin share a support, so the
+    # second check reads only tables the first one built; the per-code
+    # value memo must not carry the first code's values over.
+    code = corpus["qutrit13"]
+    tampered = Code(code.d, code.N, code.eta, (
+        code.orbits[0],
+        OrbitAmplitude((4, 9, 0), RadicalSum.sqrt(Fraction(1, 55),
+                                                  Fraction(1, 10))),
+        code.orbits[2]))
+    tables = PairTables(3, error_basis(3))
+    first = kl_full(code, _tables=tables)
+    second = kl_full(tampered, _tables=tables)
+    assert reports_identical(first, kl_full(code))
+    assert reports_identical(second, kl_full(tampered))
+    assert not reports_identical(first, second)
 
 
 # ---------------------------------------------------------------------------
