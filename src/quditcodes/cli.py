@@ -19,7 +19,8 @@ from .codes import code_from_json, code_to_json, load_code
 from .combinatorics import (check_dimensions, check_occupation,
                             enumerate_supports)
 from .config import Config, check_scale, load_config
-from .oracle import dense_apply, dense_symmetric_vector, states_agree
+from .oracle import (CollapseError, class_images, dense_symmetric_vector,
+                     image_agrees)
 from .operators import StateVector, apply_generator, error_basis
 from .reptheory import branching_multiplicity, sym_dim
 from .solver import build_qf_system, family_code, search, solve_system
@@ -117,9 +118,10 @@ def cmd_search(args, config: Config) -> int:
 def cmd_oracle(args, config: Config) -> int:
     """Differential test: combinatorial vs dense action on random basis
     vectors, all generators each."""
-    if not 2 <= args.d <= config.max_d or args.N < 1 or args.trials < 1:
+    check_scale(args.d, args.N, config.max_d, config.max_n)
+    if args.d < 2 or args.N < 1 or args.trials < 1:
         raise InvalidInputError(
-            f"need 2 <= d <= {config.max_d}, N >= 1 and trials >= 1, "
+            f"need d >= 2, N >= 1 and trials >= 1, "
             f"got d={args.d}, N={args.N}, trials={args.trials}")
     rng = random.Random(args.seed)
     basis = [op for op in error_basis(args.d) if op.kind != "I"]
@@ -127,10 +129,15 @@ def cmd_oracle(args, config: Config) -> int:
         cuts = sorted(rng.randint(0, args.N) for _ in range(args.d - 1))
         u = tuple(b - a for a, b in zip([0] + cuts, cuts + [args.N]))
         dense_u = dense_symmetric_vector(u, term_cap=config.oracle_term_cap)
+        images = class_images(basis, dense_u, args.d, 2,
+                              config.oracle_term_cap)
         for op in basis:
             sparse = apply_generator(op, StateVector.basis(u))
-            dense = dense_apply(op, dense_u, config.oracle_term_cap)
-            if not states_agree(dense, sparse):
+            try:
+                agree = image_agrees(next(images), sparse)
+            except CollapseError:
+                agree = False
+            if not agree:
                 _emit({"pass": False, "witness": {"u": list(u),
                                                   "operator": op.name()}})
                 return 1

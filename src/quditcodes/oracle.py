@@ -11,24 +11,34 @@ adds anything and raises rather than let a carry cross into the next slot.
 
 What stays independent of the combinatorial path: operator actions come
 only from the single-site matrices (`_site_matrix`) applied at every site
-of every digit string, and code words and their relabelings are built
-string by string.  Nothing here calls `operators.generator_action`.
+of every digit string by `dense_apply`, and code words and their
+relabelings are built string by string.  Nothing here calls
+`operators.generator_action`.
 
-What is shared: `dense_kl` collapses each dense image to occupation classes,
-splits the class images by orbit and hands them to the verifier's
-`PairTables` and `_Gram`, the join and finalization `kl_full` uses.  The
-collapse is a check, not a shortcut: every class u must hold exactly
+Images are shared by pattern (`class_images`).  On the part of a state
+that lies in one occupation class u, an off-diagonal operator on digits
+{j, k} sends its column-j moves to class u - e_j + e_k and its column-k
+moves to u - e_k + e_j, two disjoint classes.  So S(j,k) is applied once
+to each class part, and the image of every operator on {j, k} is read off
+those parts: the part through column c is weighted by the i**phase of
+that operator's site-matrix entry for c.  D(l) is applied to the whole
+state.  Every `dense_apply` output is collapsed to occupation classes, and
+the collapse is a check, not a shortcut: every class u must hold exactly
 basis_norm(u) strings, all carrying one packed value, so that
 sum_s conj(a_s) b_s over strings equals the engine's norm-weighted sum
-over classes.  The join itself is guarded in the tests
-by a naive evaluator built on `apply_generator` and `inner_product`.
+over classes.
+
+What is shared: `dense_kl` splits the class images by orbit and hands
+them to the verifier's `PairTables` and `_Gram`, the join and
+finalization `kl_full` uses.  The join itself is guarded in the tests by
+a naive evaluator built on `apply_generator` and `inner_product`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from itertools import repeat
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum, multinomial
 from .codes import Code
@@ -44,6 +54,7 @@ DigitString = bytes
 DenseState = Dict[DigitString, int]
 # One Gaussian integer (re, im) per orbit, flattened to (re_0, im_0, ...).
 SlotVector = Tuple[int, ...]
+ClassImage = Dict[OccupationVector, SlotVector]
 
 SLOT_BITS = 32
 _HALF = 1 << (SLOT_BITS - 1)   # every slot lies strictly inside (-_HALF, _HALF)
@@ -69,14 +80,13 @@ def unpack(value: int, width: int = 0) -> SlotVector:
     return tuple(slots)
 
 
-def _times_i(value: int, power: int) -> int:
-    """value * i**power, applied to each (re, im) slot pair."""
+def _rotate(z: SlotVector, power: int) -> SlotVector:
+    """z * i**power, applied to each (re, im) slot pair."""
     if power % 2 == 0:
-        return -value if power == 2 else value
-    z = unpack(value)
+        return tuple(-x for x in z) if power == 2 else z
     sign = 1 if power == 1 else -1
-    return pack(x for re, im in zip(z[::2], z[1::2] + (0,))
-                for x in (-sign * im, sign * re))
+    return tuple(x for re, im in zip(z[::2], z[1::2] + (0,))
+                 for x in (-sign * im, sign * re))
 
 
 def occupation_of(string: DigitString, d: int) -> OccupationVector:
@@ -88,10 +98,9 @@ def dense_symmetric_vector(u: Iterable[int],
     """Coefficient 1 on every distinct rearrangement of the multiset of u."""
     u = tuple(u)
     N = sum(u)
-    count = multinomial(N, u).value()
-    if count > term_cap:
+    if multinomial(N, u).value() > term_cap:
         raise InvalidInputError(
-            f"{count} rearrangements of {u} exceed the term cap {term_cap}")
+            f"more than {term_cap} rearrangements of {u} (the term cap)")
     digits = [x for x, n in enumerate(u) for _ in range(n)]
     return {bytes(perm): 1 for perm in multiset_permutations(digits)}
 
@@ -129,7 +138,7 @@ def dense_apply(op: ErrorOperator, state: DenseState,
         raise InvalidInputError(
             f"slots up to {N} * {peak} do not fit {SLOT_BITS} bits")
     # Per distinct input value, what each column digit adds: i**phase * value.
-    adds = {v: [_times_i(v, matrix[c][1]) if c in matrix else 0
+    adds = {v: [pack(_rotate(unpack(v), matrix[c][1])) if c in matrix else 0
                 for c in range(max(matrix) + 1)] for v in values}
     out: DenseState = {}
     if all(row == col for col, (row, _) in matrix.items()):
@@ -179,37 +188,109 @@ def dense_codewords(code: Code,
             for k in range(code.d)]
 
 
-def collapse(state: DenseState, d: int, width: int
-             ) -> Dict[OccupationVector, SlotVector]:
+class CollapseError(ValueError):
+    """A dense image that is not one vector per occupation class."""
+
+
+def _occupations(state: DenseState, d: int) -> Iterator[OccupationVector]:
+    """occupation_of every string of a state, counted digit by digit."""
+    return zip(*(map(bytes.count, state, repeat(c)) for c in range(d)))
+
+
+def collapse(state: DenseState, d: int, width: int) -> ClassImage:
     """The slot vector of each occupation class of a dense state.
 
     Checks that the state is one vector per class: class u holds exactly
     basis_norm(u) strings, all with one packed value of at most `width`
-    slots.  Raises ValueError naming the first class that is not.
+    slots.  Raises CollapseError naming the first class that is not.
     """
-    # occupation_of every string, digit by digit, paired with its value.
-    classes = zip(*(map(bytes.count, state, repeat(c)) for c in range(d)))
     out = {}
-    for (u, v), n in Counter(zip(classes, state.values())).items():
+    for (u, v), n in Counter(zip(_occupations(state, d),
+                                 state.values())).items():
         if u in out or n != basis_norm(u):
-            raise ValueError(f"class {u} is not {basis_norm(u)} strings "
-                             "with one value")
+            raise CollapseError(f"class {u} is not {basis_norm(u)} strings "
+                                "with one value")
         out[u] = unpack(v, width)
         if len(out[u]) > width:
-            raise ValueError(f"class {u} has more than {width} slots")
+            raise CollapseError(f"class {u} has more than {width} slots")
     return out
+
+
+def class_images(ops: Iterable[ErrorOperator], state: DenseState, d: int,
+                 width: int, term_cap: int = DEFAULT_TERM_CAP
+                 ) -> Iterator[ClassImage]:
+    """collapse(dense_apply(op, state), d, width) for each op in turn.
+
+    The identity's image is the collapsed state, and D(l)'s is the
+    collapsed `dense_apply` on the whole state.  The image of an operator
+    on digits {j, k} is read off the collapsed images of S(j,k) on each
+    class part of the state (see the module docstring); those are built
+    once per pair and shared.  An assembled image may hold at most term_cap
+    strings, the cap `dense_apply` puts on its own output.  On a state with
+    no negative slot (code words, basis vectors) no class part's S(j,k)
+    image outgrows the assembled S(j,k) image, so the parts' own caps
+    refuse nothing more.  Raises CollapseError naming the operator whose
+    `dense_apply` output fails the collapse.
+
+    The parts are split by source class, not by column, because every
+    string action goes through `dense_apply(op, state, term_cap)` with a
+    real error operator: that call is the seam the tests replace to inject
+    corrupted images, so it takes no partial site matrix.
+    """
+    def collapsed(op: ErrorOperator, image: DenseState) -> ClassImage:
+        try:
+            return collapse(image, d, width)
+        except CollapseError as exc:
+            raise CollapseError(f"dense image under {op.name()} fails the "
+                                f"collapse: {exc}") from exc
+
+    parts: Dict[OccupationVector, DenseState] = defaultdict(dict)
+    for u, (string, v) in zip(_occupations(state, d), state.items()):
+        parts[u][string] = v
+    shared = {}   # (j, k) -> [(u, collapsed S(j,k) image of class part u)]
+    for op in ops:
+        if op.kind == "I":
+            yield collapsed(op, state)
+            continue
+        if op.kind == "D":
+            yield collapsed(op, dense_apply(op, state, term_cap))
+            continue
+        pair = (min(op.j, op.k), max(op.j, op.k))
+        if pair not in shared:
+            flip = ErrorOperator("S", *pair)
+            shared[pair] = [(u, collapsed(flip, dense_apply(flip, part,
+                                                            term_cap)))
+                            for u, part in parts.items()]
+        matrix = _site_matrix(op)
+        out: ClassImage = {}
+        for u, image in shared[pair]:
+            for t, z in image.items():
+                # t lost a digit j (column j) or a digit k (column k).
+                z = _rotate(z, matrix[op.j if t[op.j] < u[op.j] else op.k][1])
+                out[t] = (tuple(x + y for x, y in zip(out[t], z))
+                          if t in out else z)
+        image = {t: z for t, z in out.items() if any(z)}
+        if sum(map(basis_norm, image)) > term_cap:
+            raise InvalidInputError(
+                f"dense apply exceeded term cap {term_cap}")
+        yield image
+
+
+def image_agrees(image: ClassImage, sparse: StateVector) -> bool:
+    """Exact equality of a collapsed single-vector image and an
+    occupation-keyed state, compared per class as Gaussian integers."""
+    return image.keys() == sparse.terms.keys() and all(
+        ExactComplex(RadicalSum.of(re), RadicalSum.of(im)) == sparse.terms[u]
+        for u, (re, im) in image.items())
 
 
 def states_agree(dense: DenseState, sparse: StateVector) -> bool:
     """Exact equality of a single-vector dense state and an
-    occupation-keyed one, compared per class as Gaussian integers."""
+    occupation-keyed one: the collapse, then `image_agrees`."""
     try:
-        image = collapse(dense, sparse.d, 2)
-    except ValueError:
+        return image_agrees(collapse(dense, sparse.d, 2), sparse)
+    except CollapseError:
         return False
-    return image.keys() == sparse.terms.keys() and all(
-        ExactComplex(RadicalSum.of(re), RadicalSum.of(im)) == sparse.terms[u]
-        for u, (re, im) in image.items())
 
 
 def dense_kl(code: Code, term_cap: int = DEFAULT_TERM_CAP) -> KLReport:
@@ -223,17 +304,14 @@ def dense_kl(code: Code, term_cap: int = DEFAULT_TERM_CAP) -> KLReport:
     k = len(code.orbits)
     words = dense_codewords(code, term_cap)
     basis = error_basis(code.d)
-    images = []   # images[a][i]: the slot vector of each class, all orbits
-    for op in basis:
-        images.append([])
-        for i, word in enumerate(words):
-            image = dense_apply(op, word, term_cap)
-            try:
-                images[-1].append(collapse(image, code.d, 2 * k))
-            except ValueError as exc:
-                raise ValueError(f"dense image of code word {i} under "
-                                 f"{op.name()} fails the collapse: {exc}"
-                                 ) from exc
+    images = [[] for _ in basis]   # images[a][i]: class -> slots, all orbits
+    for i, word in enumerate(words):
+        try:
+            for row, image in zip(images, class_images(basis, word, code.d,
+                                                       2 * k, term_cap)):
+                row.append(image)
+        except CollapseError as exc:
+            raise CollapseError(f"code word {i}: {exc}") from exc
     tables = PairTables(code.d, basis)
     for o in range(k):
         tables.add_images(o, [[{u: z[2 * o:2 * o + 2] for u, z in image.items()

@@ -264,6 +264,7 @@ def test_oracle(capsys):
     ("--d", "14", "--N", "3"),
     ("--d", "3", "--N", "4", "--trials", "-1"),
     ("--d", "3", "--N", "4", "--trials", "0"),
+    ("--d", "3", "--N", "100000", "--trials", "1"),
 ])
 def test_oracle_rejects_inputs_it_cannot_check(capsys, argv):
     # Exit 1 would mean "violations found", and a pass that checked
@@ -281,6 +282,27 @@ def test_oracle_accepts_the_edges_of_its_range(capsys):
     status, payload = run(capsys, "oracle", "--d", "13", "--N", "1",
                           "--trials", "1")
     assert status == 0 and payload["generators"] == 168
+
+
+def test_oracle_reports_the_first_image_that_fails(capsys, monkeypatch):
+    # A dense S image with one changed string fails the collapse; the
+    # witness is the first trial and the first operator, in basis order,
+    # whose image was corrupted (S(0,1) and S(0,2) are empty on (0,0,0,2,1)).
+    from quditcodes import oracle
+    honest = oracle.dense_apply
+
+    def corrupt(op, state, term_cap=oracle.DEFAULT_TERM_CAP):
+        out = dict(honest(op, state, term_cap))
+        if op.kind == "S" and out:
+            out[next(iter(out))] += 1
+        return out
+
+    monkeypatch.setattr(oracle, "dense_apply", corrupt)
+    status, payload = run(capsys, "oracle", "--d", "5", "--N", "3",
+                          "--trials", "5", "--seed", "2")
+    assert status == 1
+    assert payload == {"pass": False, "witness": {"u": [0, 0, 0, 2, 1],
+                                                  "operator": "S(0,3)"}}
 
 
 def test_config_flag(tmp_path, capsys):

@@ -10,10 +10,10 @@ from quditcodes.codes import Code, OrbitAmplitude, codeword, codeword_orbits
 from quditcodes.combinatorics import canonical_representative
 from quditcodes.operators import (ErrorOperator, StateVector, apply_generator,
                                   basis_norm, error_basis, inner_product)
-from quditcodes.oracle import (SLOT_BITS, collapse, dense_apply,
-                               dense_codewords, dense_kl, dense_relabel,
-                               dense_symmetric_vector, occupation_of, pack,
-                               states_agree, unpack)
+from quditcodes.oracle import (SLOT_BITS, class_images, collapse,
+                               dense_apply, dense_codewords, dense_kl,
+                               dense_relabel, dense_symmetric_vector,
+                               occupation_of, pack, states_agree, unpack)
 import quditcodes.oracle as oracle
 from quditcodes.verifier import kl_full
 
@@ -39,6 +39,13 @@ def test_dense_symmetric_vector_counts():
 def test_dense_symmetric_vector_term_cap():
     with pytest.raises(InvalidInputError):
         dense_symmetric_vector((10, 10, 10), term_cap=100)
+
+
+def test_dense_symmetric_vector_refuses_a_count_too_long_to_print():
+    # multinomial(40000; 20000, 20000, 0) has over 12,000 digits, past
+    # what int-to-str may format: the refusal must not print it.
+    with pytest.raises(InvalidInputError):
+        dense_symmetric_vector((20000, 20000, 0))
 
 
 def test_dense_relabel_shifts_digits():
@@ -322,3 +329,64 @@ def test_both_checkers_match_the_naive_evaluator(code):
     naive = naive_kl(code)
     assert matches_naive(kl_full(code), naive)
     assert matches_naive(dense_kl(code), naive)
+
+
+# ---------------------------------------------------------------------------
+# pattern-shared images against the per-operator path
+
+
+def assert_shared_images_match(word, d, width):
+    """class_images must equal collapse(dense_apply(op, word)) exactly,
+    operator by operator."""
+    basis = error_basis(d)
+    for op, image in zip(basis, class_images(basis, word, d, width),
+                         strict=True):
+        assert image == collapse(dense_apply(op, word), d, width), op.name()
+
+
+@given(tiny_codes())
+@settings(max_examples=40, deadline=None)
+def test_shared_images_match_per_operator_images(code):
+    width = 2 * len(code.orbits)
+    for word in dense_codewords(code):
+        assert_shared_images_match(word, 3, width)
+
+
+def test_shared_images_match_per_operator_images_on_qutrit13():
+    word = dense_codewords(shipped_code("qutrit13"))[0]
+    assert_shared_images_match(word, 3, 6)
+
+
+@pytest.mark.parametrize("u", [(2, 1, 0, 1, 1), (0, 3, 0, 0, 2),
+                               (1, 1, 1, 0, 0, 1, 0), (0, 0, 2, 0, 1, 0, 1)])
+def test_shared_images_match_per_operator_images_at_d5_d7(u):
+    assert_shared_images_match(dense_symmetric_vector(u), len(u), 2)
+
+
+def test_shared_images_cancel_across_classes():
+    # Two classes that A(0,1) maps onto one: a string of (2,1,0) gets
+    # -i*a from two strings of (1,2,0) and +i*b from one of (3,0,0), so
+    # b = 2a cancels it there, while S(0,1) leaves 4a.
+    a, b = (1, -2), (2, -4)
+    word = dict.fromkeys(dense_symmetric_vector((1, 2, 0)), pack(a))
+    word.update(dict.fromkeys(dense_symmetric_vector((3, 0, 0)), pack(b)))
+    assert_shared_images_match(word, 3, 2)
+    basis = error_basis(3)
+    images = dict(zip((op.name() for op in basis),
+                      class_images(basis, word, 3, 2)))
+    assert (2, 1, 0) not in images["A(0,1)"]
+    assert images["S(0,1)"][2, 1, 0] == (4, -8)
+
+
+def test_shared_images_keep_the_term_cap_of_each_image():
+    # An assembled image is refused exactly when it holds more strings
+    # than the cap, as dense_apply refuses its own output.  Two classes,
+    # so that an image can exceed the cap while each class part's does not.
+    word = {**dense_symmetric_vector((3, 1, 0)),
+            **dense_symmetric_vector((1, 2, 1))}
+    for op in error_basis(3)[1:]:
+        strings = len(dense_apply(op, word))
+        assert strings
+        assert next(class_images([op], word, 3, 2, term_cap=strings))
+        with pytest.raises(InvalidInputError):
+            next(class_images([op], word, 3, 2, term_cap=strings - 1))

@@ -1,0 +1,106 @@
+"""Before/after benchmark record: alternating pairs of perfbench runs.
+
+    python3 tools/bench_pairs.py --parent-dir P --change-dir C \
+        --parent-commit REV --label LABEL --change "what changed"
+
+P and C are two checkouts (for example `git archive REV | tar -x -C P`).
+On each of the three workloads, pair n (seed n, 1..10) runs
+`perfbench/run.py --workload W --seed n --seconds 35 --trace 0` once in
+each checkout, alternating which side runs first, and reads the
+end-to-end metrics from the last stdout line of each run.  The medians,
+quartiles and per-pair wins of every metric go to `BENCH_<LABEL>.json` in
+the current directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+BETTER = {"wall_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower",
+          "elements_per_s": "higher", "ops_ok_ratio": "higher"}
+PAIRS = 10
+SECONDS = 35   # BENCHMARK.json's run_seconds, the same on both sides
+WORKLOADS = ("construct-verify", "search", "oracle")
+COMMAND = (f"python3 perfbench/run.py --workload W --seed S "
+           f"--seconds {SECONDS} --trace 0")
+
+
+def run(checkout: str, workload: str, seed: int) -> dict:
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def summary(better: str, parent: list, change: list) -> dict:
+    def quartiles(runs):
+        q = statistics.quantiles(runs, n=4, method="inclusive")
+        return [round(q[0], 4), round(q[2], 4)]
+
+    p, c = statistics.median(parent), statistics.median(change)
+    wins = sum((b < a) if better == "lower" else (b > a)
+               for a, b in zip(parent, change))
+    return {"better": better, "parent_median": round(p, 4),
+            "change_median": round(c, 4),
+            "parent_quartiles": quartiles(parent),
+            "change_quartiles": quartiles(change),
+            "change_minus_parent_pct": round(100 * (c / p - 1), 1),
+            "change_wins": f"{wins}/{len(parent)}",
+            "parent_runs": [round(x, 4) for x in parent],
+            "change_runs": [round(x, 4) for x in change]}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent-dir", required=True)
+    parser.add_argument("--change-dir", required=True)
+    parser.add_argument("--parent-commit", required=True)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--change", required=True)
+    args = parser.parse_args()
+    record = {
+        "label": args.label, "change": args.change,
+        "parent_commit": args.parent_commit,
+        "command": COMMAND,
+        "procedure": f"{PAIRS} pairs per workload; pair n runs parent "
+                     f"and change with seed n (1..{PAIRS}), alternating "
+                     "which side runs first; each run in its own "
+                     "checkout; values are the end-to-end metrics of each "
+                     "run's last stdout line",
+        "host": {"nproc": os.cpu_count(),
+                 "python": platform.python_version(),
+                 "note": "shared host; times are perfbench's calibrated "
+                         "reference-speed times"},
+        "workloads": {}}
+    for workload in WORKLOADS:
+        runs = {"parent": [], "change": []}
+        for seed in range(1, PAIRS + 1):
+            sides = ["parent", "change"] if seed % 2 else ["change", "parent"]
+            for side in sides:
+                result = run(getattr(args, f"{side}_dir"), workload, seed)
+                runs[side].append(result)
+                print(workload, seed, side,
+                      result["metrics"]["wall_s"]["value"], file=sys.stderr)
+        record["workloads"][workload] = {
+            "pairs": PAIRS,
+            "all_correct": all(r["correct"] for side in runs.values()
+                               for r in side),
+            "metrics": {name: summary(better, *([r["metrics"][name]["value"]
+                                                 for r in runs[side]]
+                                                for side in runs))
+                        for name, better in BETTER.items()}}
+    with open(f"BENCH_{args.label}.json", "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
