@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from functools import lru_cache
+from itertools import takewhile
+from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -110,14 +112,7 @@ class FactoredNatural:
     @classmethod
     def factorial(cls, n: int) -> "FactoredNatural":
         """n! via prime exponent counts (no full product is ever formed)."""
-        factors: Dict[int, int] = {}
-        for p in _primes_upto(n):
-            e, q = 0, p
-            while q <= n:
-                e += n // q
-                q *= p
-            factors[p] = e
-        return cls(factors)
+        return cls({p: _legendre(n, p) for p in _primes_upto(n)})
 
     def __mul__(self, other: "FactoredNatural") -> "FactoredNatural":
         merged = dict(self.factors)
@@ -153,29 +148,46 @@ class FactoredNatural:
         return f"FactoredNatural({self.factors!r})"
 
 
-def _primes_upto(n: int) -> Iterable[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
+def _primes_upto(n: int) -> Iterator[int]:
+    """The primes p <= n, read off one shared immutable table."""
+    return takewhile(lambda p: p <= n, _prime_table(max(2, n).bit_length()))
+
+
+@lru_cache(maxsize=None)
+def _prime_table(bits: int) -> Tuple[int, ...]:
+    """Every prime below 2**bits; keyed by bit length so that few exist."""
+    n = 1 << bits
+    sieve = bytearray([1]) * n
     sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
+    for p in range(2, math.isqrt(n - 1) + 1):
         if sieve[p]:
             sieve[p * p:: p] = bytearray(len(sieve[p * p:: p]))
-    return [p for p in range(2, n + 1) if sieve[p]]
+    return tuple(p for p in range(2, n) if sieve[p])
+
+
+def _legendre(n: int, p: int) -> int:
+    """Legendre's formula: the exponent of the prime p in n!."""
+    e = 0
+    while n >= p:
+        n //= p
+        e += n
+    return e
 
 
 def multinomial(n: int, counts: Iterable[int]) -> FactoredNatural:
-    """n! / prod(c_i!) in factored form; the counts must sum to n."""
+    """n! / prod(c_i!) in factored form; the counts must sum to n.
+
+    Each prime's exponent is Legendre's count in n! minus its counts in the
+    c_i!.  For the integer value alone, `operators.basis_norm` is faster.
+    """
     counts = tuple(counts)
     if any(c < 0 for c in counts):
         raise InvalidInputError(f"negative count in {counts}")
     if sum(counts) != n:
         raise InvalidInputError(f"counts {counts} do not sum to {n}")
-    result = FactoredNatural.factorial(n)
-    for c in counts:
-        if c > 1:
-            result = result.exact_div(FactoredNatural.factorial(c))
-    return result
+    return FactoredNatural({
+        p: _legendre(n, p) - sum(_legendre(c, p) for c in counts if c >= p)
+        for p in _primes_upto(n)})
 
 
 # ---------------------------------------------------------------------------

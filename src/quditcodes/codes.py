@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .arith import ExactComplex, InvalidInputError, RadicalSum, multinomial
+from .arith import ExactComplex, InvalidInputError, RadicalSum
 from .combinatorics import (OccupationVector, TailOrbit, check_occupation,
                             cyclic_shift, expand_orbit, is_eligible,
                             sparsity_violation, tail_orbit)
-from .operators import StateVector
+from .operators import StateVector, basis_norm
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,9 @@ def validate(code: Code) -> ValidationReport:
 
     total = RadicalSum.zero()
     for entry in code.orbits:
-        norm = multinomial(code.N, entry.representative).value()
-        orbit_size = tail_orbit(entry.representative).size
-        total = total + (entry.amplitude * entry.amplitude) * (norm * orbit_size)
+        rep = tuple(entry.representative)
+        total = total + (entry.amplitude * entry.amplitude) * (
+            basis_norm(rep) * tail_orbit(rep).size)
     report.record("normalization", total == RadicalSum.of(1), repr(total))
 
     violation = sparsity_violation(code.support_representatives())

@@ -17,11 +17,12 @@ derived formula; the dense-tensor oracle validates it exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .arith import ExactComplex, InvalidInputError, multinomial
+from .arith import ExactComplex, InvalidInputError
 from .combinatorics import OccupationVector, cyclic_shift, weight
 
 
@@ -158,8 +159,15 @@ def z_eigenexponent(u: OccupationVector) -> int:
 
 @lru_cache(maxsize=65536)
 def basis_norm(u: OccupationVector) -> int:
-    """<S_u|S_u>: the multinomial coefficient of u."""
-    return multinomial(sum(u), u).value()
+    """<S_u|S_u>: the multinomial coefficient of u, as an integer.
+
+    The library's one integer multinomial; `arith.multinomial` gives the
+    same number factored, for callers that need its primes.  u must be a
+    tuple, since the cache hashes it.
+    """
+    if min(u, default=0) < 0:
+        raise InvalidInputError(f"negative count in {u}")
+    return math.factorial(sum(u)) // math.prod(map(math.factorial, u))
 
 
 def inner_product(phi: StateVector, psi: StateVector) -> ExactComplex:

@@ -40,7 +40,7 @@ from collections import Counter, defaultdict
 from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from .arith import ExactComplex, InvalidInputError, RadicalSum, multinomial
+from .arith import ExactComplex, InvalidInputError, RadicalSum
 from .codes import Code
 from .combinatorics import (OccupationVector, expand_orbit,
                             multiset_permutations)
@@ -97,8 +97,7 @@ def dense_symmetric_vector(u: Iterable[int],
                            term_cap: int = DEFAULT_TERM_CAP) -> DenseState:
     """Coefficient 1 on every distinct rearrangement of the multiset of u."""
     u = tuple(u)
-    N = sum(u)
-    if multinomial(N, u).value() > term_cap:
+    if basis_norm(u) > term_cap:
         raise InvalidInputError(
             f"more than {term_cap} rearrangements of {u} (the term cap)")
     digits = [x for x, n in enumerate(u) for _ in range(n)]

@@ -26,7 +26,7 @@ from .combinatorics import (OccupationVector, TailOrbit, cyclic_shift,
                             iter_support_representatives, sparsity_violation,
                             support_is_sparse, tail_orbit)
 from .config import Config, check_scale
-from .operators import error_basis
+from .operators import basis_norm, error_basis
 from .verifier import PairTables, kl_full
 
 Row = Tuple[int, ...]
@@ -250,8 +250,7 @@ def family_support(d: int) -> Tuple[OccupationVector, ...]:
 
 def _closed_form_alpha_sq(d: int) -> Tuple[Fraction, Fraction, Fraction]:
     a, b, c = family_support(d)
-    m_b = multinomial((d - 1) ** 2, b).value()
-    m_c = multinomial((d - 1) ** 2, c).value()
+    m_b, m_c = basis_norm(b), basis_norm(c)
     alpha_a = Fraction(d ** 3 - 5 * d ** 2 + d - 1, 2 * d ** 4 - 6 * d ** 3)
     alpha_b = Fraction(d - 1, m_b) * (1 - d * alpha_a) / (d ** 2 + d)
     alpha_c = Fraction(1, m_c) * (1 - alpha_a
@@ -269,8 +268,7 @@ def family_code(d: int) -> Tuple[Code, DiscrepancyNote]:
         raise InvalidInputError(
             f"family system at d={d} has {len(solutions)} positive solutions")
     solution = solutions[0]
-    solved = tuple(x / multinomial(system.N, rep).value()
-                   for x, rep in zip(solution.xi, support))
+    solved = tuple(x / basis_norm(rep) for x, rep in zip(solution.xi, support))
     note = DiscrepancyNote(d, solved, _closed_form_alpha_sq(d))
     return solution.code, note
 

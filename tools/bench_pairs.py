@@ -9,7 +9,9 @@ On each of the three workloads, pair n (seed n, 1..10) runs
 each checkout, alternating which side runs first, and reads the
 end-to-end metrics from the last stdout line of each run.  The medians,
 quartiles and per-pair wins of every metric go to `BENCH_<LABEL>.json` in
-the current directory.
+the current directory.  The exit status is 1 when any run reported
+`correct: false` (the record is still written) or when a run exited
+non-zero (named by workload, seed and side; no record is written).
 """
 
 from __future__ import annotations
@@ -31,12 +33,16 @@ COMMAND = (f"python3 perfbench/run.py --workload W --seed S "
            f"--seconds {SECONDS} --trace 0")
 
 
-def run(checkout: str, workload: str, seed: int) -> dict:
-    out = subprocess.run(
+def run(checkout: str, workload: str, seed: int, side: str) -> dict:
+    proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{workload} seed {seed} on the {side} side "
+                         f"({checkout}) exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def summary(better: str, parent: list, change: list) -> dict:
@@ -79,13 +85,17 @@ def main() -> int:
                  "note": "shared host; times are perfbench's calibrated "
                          "reference-speed times"},
         "workloads": {}}
+    wrong = []
     for workload in WORKLOADS:
         runs = {"parent": [], "change": []}
         for seed in range(1, PAIRS + 1):
             sides = ["parent", "change"] if seed % 2 else ["change", "parent"]
             for side in sides:
-                result = run(getattr(args, f"{side}_dir"), workload, seed)
+                result = run(getattr(args, f"{side}_dir"), workload, seed,
+                             side)
                 runs[side].append(result)
+                if not result["correct"]:
+                    wrong.append(f"{workload} seed {seed} {side}")
                 print(workload, seed, side,
                       result["metrics"]["wall_s"]["value"], file=sys.stderr)
         record["workloads"][workload] = {
@@ -99,6 +109,10 @@ def main() -> int:
     with open(f"BENCH_{args.label}.json", "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
+    if wrong:
+        print("runs that reported correct: false: " + ", ".join(wrong),
+              file=sys.stderr)
+        return 1
     return 0
 
 
