@@ -3,9 +3,11 @@
 The three scalar quadratic forms are linear in the variables
 xi_s = <S_s|S_s> * alpha_s**2, one per support orbit, with integer
 coefficients obtained by summing eigenvalue/diagonal formulas over orbit
-members.  Solving is exact rational nullspace computation intersected
-with the positive orthant, followed by normalization and a square root
-per orbit to recover amplitudes.
+members.  Every column satisfies (2N+d)*c[0] - 2*c[1] + d*c[2] = 0, so
+the three rows have rank at most two, and each extreme ray of the
+positive solution cone has at most three nonzero coordinates, read off
+rows 1 and 3 in closed form with integer 2x2 determinants.  Each ray is
+normalized, and a square root per orbit recovers the amplitudes.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .arith import (FactoredNatural, InvalidInputError, RadicalSum, factorize,
                     multinomial)
 from .codes import Code, OrbitAmplitude, validate
-from .combinatorics import (OccupationVector, TailOrbit, cyclic_shift,
-                            expand_orbit, is_eligible,
+from .combinatorics import (OccupationVector, TailOrbit, check_dimensions,
+                            cyclic_shift, expand_orbit, is_eligible,
                             iter_support_representatives, sparsity_violation,
                             support_is_sparse, tail_orbit)
 from .config import Config, check_scale
@@ -58,6 +60,8 @@ def build_qf_system(d: int, N: int,
     Row 2: squared phase difference, first code word minus last.
     Row 3: squared first dit flip, first code word minus last.
     """
+    if not support:
+        raise InvalidInputError("support is empty")
     orbits = tuple(tail_orbit(tuple(int(x) for x in rep)) for rep in support)
     reps = [o.representative for o in orbits]
     for rep in reps:
@@ -75,7 +79,12 @@ def build_qf_system(d: int, N: int,
 
 @lru_cache(maxsize=4096)
 def _qf_column(rep: OccupationVector) -> Tuple[int, int, int]:
-    """One orbit's entries in the three rows of `build_qf_system`."""
+    """One orbit's entries in the three rows of `build_qf_system`.
+
+    Averaged over the tail orbit, every column satisfies
+    (2N+d)*c[0] - 2*c[1] + d*c[2] = 0.  c[1] is still summed on its own,
+    so the identity stays a fact that the tests check, not an assumption.
+    """
     d = len(rep)
 
     def phase(w: OccupationVector) -> int:
@@ -99,72 +108,46 @@ class Solution:
     code: Code
 
 
-def _positive_rays(rows: Sequence[Row], n: int) -> List[Tuple[Fraction, ...]]:
-    """Extreme rays of {x >= 0, rows.x = 0}, one positive vector each.
+def _positive_rays(top: Row, bottom: Row) -> List[Tuple[int, ...]]:
+    """Extreme rays of {x >= 0 : top.x = bottom.x = 0}, one positive
+    integer vector each, in order of support size.
 
-    Supports are small, so every coordinate subset K ("keep set") is
-    visited once, smallest first.  A ray is recorded when the nullspace of
-    the columns in K is one-dimensional and spanned by a vector with no
-    zero entry and one sign.  Such a ray has minimal support and is found
-    exactly once: any null vector supported on a proper subset of K would
-    lie in that one-dimensional nullspace, so it would be a multiple of
-    the spanning vector, which has no zero on K.  Hence no recorded ray
-    repeats or contains another, and no deduplication is needed.  With
-    three rows, a keep set of more than four columns has a nullspace of
-    dimension at least two, so none is visited.
+    Column i is the point (top[i], bottom[i]).  A ray is recorded for each
+    coordinate set K whose columns have a one-dimensional nullspace
+    spanned by a vector with no zero entry and one sign.  With two rows
+    |K| <= 3, and K is one of: a zero column, ray (1); two opposite
+    columns a, b (det(a, b) = 0, a.b < 0), ray (|b|**2, -a.b); three
+    columns whose Cramer vector (det(b, c), det(c, a), det(a, b)) has no
+    zero entry and one sign.  A null vector on a proper subset of K would
+    be a multiple of the spanning vector, which has no zero on K, so no
+    recorded ray repeats or contains another.
     """
-    rays: List[Tuple[Fraction, ...]] = []
-    for keep_size in range(1, min(n, len(rows) + 1) + 1):
-        for keep in itertools.combinations(range(n), keep_size):
-            basis = _nullspace([[row[i] for i in keep] for row in rows])
-            if len(basis) != 1:
-                continue
-            sign = 1 if basis[0][0] > 0 else -1
-            vec = [sign * x for x in basis[0]]
-            if not all(x > 0 for x in vec):
-                continue
-            full = [Fraction(0)] * n
-            for i, x in zip(keep, vec):
-                full[i] = x
-            rays.append(tuple(full))
+    columns = list(zip(top, bottom))
+    n = len(columns)
+
+    def det(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1]
+
+    def ray(keep, vec):
+        full = [0] * n
+        for i, x in zip(keep, vec):
+            full[i] = x
+        return tuple(full)
+
+    rays = [ray((i,), (1,)) for i, a in enumerate(columns) if a == (0, 0)]
+    for i, j in itertools.combinations(range(n), 2):
+        a, b = columns[i], columns[j]
+        if det(a, b) == 0 and dot(a, b) < 0:
+            rays.append(ray((i, j), (dot(b, b), -dot(a, b))))
+    for keep in itertools.combinations(range(n), 3):
+        a, b, c = (columns[i] for i in keep)
+        vec = (det(b, c), det(c, a), det(a, b))
+        if all(x > 0 for x in vec) or all(x < 0 for x in vec):
+            rays.append(ray(keep, tuple(abs(x) for x in vec)))
     return rays
-
-
-def _nullspace(matrix: List[List[int]]) -> List[List[Fraction]]:
-    """A basis of the nullspace of an integer matrix, one vector per free
-    column, as sympy's `Matrix.nullspace` gives it.
-
-    Exact reduced row echelon form by integer row combinations: pivots are
-    not scaled to 1, so each entry is read off with one division by its
-    pivot.
-    """
-    rows = [list(row) for row in matrix]
-    width = len(rows[0])
-    pivots: List[int] = []
-    for col in range(width):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                rows[i] = [lead[col] * a - row[col] * b
-                           for a, b in zip(row, lead)]
-        pivots.append(col)
-        if len(pivots) == len(rows):
-            break
-    basis = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
-        for row, col in zip(rows, pivots):
-            vec[col] = Fraction(-row[free], row[col])
-        basis.append(vec)
-    return basis
 
 
 def _amplitude(xi: Fraction, norm: FactoredNatural) -> RadicalSum:
@@ -186,12 +169,12 @@ def solve_system(system: QFSystem) -> List[Solution]:
     single ray, every extreme ray when it is wider, and an empty list
     when only the trivial solution is non-negative.
     """
-    n = len(system.support)
     solutions = []
-    for ray in _positive_rays(system.rows, n):
-        scale = sum(Fraction(size) * x
-                    for size, x in zip(system.normalization, ray))
-        xi = tuple(x / scale for x in ray)
+    # (2N+d)*c[0] - 2*c[1] + d*c[2] = 0 on every column (`_qf_column`): row 2
+    # is a rational combination of rows 1 and 3, so the nullspace is theirs.
+    for ray in _positive_rays(system.rows[0], system.rows[2]):
+        scale = sum(size * x for size, x in zip(system.normalization, ray))
+        xi = tuple(Fraction(x, scale) for x in ray)
         orbits = tuple(
             OrbitAmplitude(orbit.representative,
                            _amplitude(x, multinomial(system.N,
@@ -312,6 +295,7 @@ def search(d: int, N: int, support_size: int,
     with one set of pair tables shared by every code of this call.
     """
     check_scale(d, N, max_d, max_n)
+    check_dimensions(d, N)
     if support_size < 2:
         raise InvalidInputError("support size must be at least 2")
     if max_candidates is not None and max_candidates < 1:

@@ -166,6 +166,18 @@ def test_subcommands_refuse_inputs_beyond_the_caps(capsys, argv):
     assert payload["error"]["type"] == "InvalidInputError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--d", "0", "--N", "5", "--k", "3"),
+    ("solve", "--d", "3", "--N", "13", "--support", ";"),
+])
+def test_search_and_solve_refuse_inputs_with_nothing_to_solve(capsys, argv):
+    # d = 0 once divided by zero; an empty support once printed an empty
+    # system with exit 0.
+    status, payload = run(capsys, *argv)
+    assert status == 2
+    assert payload["error"]["type"] == "InvalidInputError"
+
+
 def test_branching_refuses_inputs_beyond_the_caps(capsys):
     status, payload = run(capsys, "branching", "--d", "5001", "--N", "20002")
     assert status == 2

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quditcodes import solver
 from quditcodes.arith import InvalidInputError, RadicalSum
 from quditcodes.codes import validate
 from quditcodes.combinatorics import (expand_orbit, is_effectively_sparse,
-                                      iter_support_representatives)
+                                      iter_support_representatives,
+                                      support_is_sparse, tail_orbit)
 from quditcodes.solver import (build_qf_system, family_code, family_support,
                                passes_prefilter, search, solve_system)
 from quditcodes.verifier import kl_full
@@ -56,6 +57,11 @@ def test_system_rejects_non_sparse_support():
                                 (2, 3, 3, 3, 3, 3, 3)))
 
 
+def test_system_rejects_empty_support():
+    with pytest.raises(InvalidInputError, match="support is empty"):
+        build_qf_system(3, 13, ())
+
+
 @pytest.mark.parametrize("rep", [
     (12, 1, 0),      # weight 1
     (4, 9, 0, 0),    # wrong length
@@ -64,6 +70,29 @@ def test_system_rejects_non_sparse_support():
 def test_system_rejects_ineligible_vectors(rep):
     with pytest.raises(InvalidInputError, match="not eligible"):
         build_qf_system(3, 13, ((13, 0, 0), rep))
+
+
+@st.composite
+def tail_orbit_representatives(draw):
+    """Any tail orbit with d = 3..9, eligible or not, of at most 20,000
+    members."""
+    d = draw(st.integers(3, 9))
+    u = draw(st.lists(st.integers(0, 12), min_size=d, max_size=d))
+    orbit = tail_orbit(u)
+    assume(orbit.size <= 20000)
+    return orbit.representative
+
+
+@given(tail_orbit_representatives())
+@example((13, 0, 0))
+@example((0, 4, 4, 4, 4))
+@settings(max_examples=150, deadline=None)
+def test_columns_satisfy_the_rank_two_identity(rep):
+    # The solver reads rays off rows 1 and 3 alone because of this
+    # identity: row 2 is a rational combination of rows 1 and 3.
+    d, N = len(rep), sum(rep)
+    c = solver._qf_column(rep)
+    assert (2 * N + d) * c[0] - 2 * c[1] + d * c[2] == 0
 
 
 def test_system_to_json():
@@ -141,20 +170,10 @@ def test_four_orbit_support_with_two_rays():
     ]
 
 
-# Three rows of one to five small integers, the shape of a QF system.
-three_row_matrices = st.integers(1, 5).flatmap(lambda m: st.lists(
+# Two rows of one to six small integers: rows 1 and 3 of a QF system.
+two_row_matrices = st.integers(1, 6).flatmap(lambda m: st.lists(
     st.lists(st.integers(-3, 3), min_size=m, max_size=m),
-    min_size=3, max_size=3))
-
-
-@given(three_row_matrices)
-@settings(max_examples=200, deadline=None)
-def test_nullspace_matches_sympy(matrix):
-    # sympy stays the reference: same basis, hence the same dimension and,
-    # when it is one-dimensional, the same ray direction.
-    expected = [[Fraction(int(x.p), int(x.q)) for x in vec]
-                for vec in sympy.Matrix(matrix).nullspace()]
-    assert solver._nullspace(matrix) == expected
+    min_size=2, max_size=2))
 
 
 def sympy_positive_rays(rows, n):
@@ -176,13 +195,41 @@ def sympy_positive_rays(rows, n):
     return rays
 
 
-@given(three_row_matrices)
-@example([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
-@settings(max_examples=100, deadline=None)
+def scaled_to_first_entry(ray):
+    first = next(x for x in ray if x)
+    return tuple(Fraction(x) / first for x in ray)
+
+
+@given(two_row_matrices)
+@example([[0, 1, -2, 0, -1], [0, 0, 0, 1, -1]])
+@settings(max_examples=200, deadline=None)
 def test_positive_rays_match_sympy_reference(rows):
-    # The example's only ray needs all four columns.
-    n = len(rows[0])
-    assert solver._positive_rays(rows, n) == sympy_positive_rays(rows, n)
+    # The example has a zero column (0), an opposite pair (1, 2) and a
+    # positive triple (1, 3, 4).
+    expected = sympy_positive_rays(rows, len(rows[0]))
+    assert ([scaled_to_first_entry(r) for r in solver._positive_rays(*rows)]
+            == [scaled_to_first_entry(r) for r in expected])
+
+
+@pytest.mark.parametrize("d, N, sizes", [(3, 13, (3, 4)), (5, 16, (3,))])
+def test_solutions_match_the_three_row_reference(d, N, sizes):
+    # Rays read off rows 1 and 3 must be the rays of all three rows, on
+    # every sparse support of these shapes.
+    reps = list(iter_support_representatives(d, N))
+    supports = 0
+    for size in sizes:
+        for subset in itertools.combinations(reps, size):
+            if not support_is_sparse(subset):
+                continue
+            supports += 1
+            system = build_qf_system(d, N, subset)
+            expected = []
+            for ray in sympy_positive_rays(system.rows, size):
+                scale = sum(m * x for m, x in zip(system.normalization, ray))
+                expected.append(tuple(x / scale for x in ray))
+            expected.sort(reverse=True)
+            assert [s.xi for s in solve_system(system)] == expected, subset
+    assert supports == {(3, 13): 147, (5, 16): 16}[d, N]
 
 
 def test_returned_rays_have_minimal_supports():
@@ -275,6 +322,8 @@ def test_search_rejects_bad_arguments():
         search(3, 13, 1)
     with pytest.raises(InvalidInputError):
         search(9, 21, 3)
+    with pytest.raises(InvalidInputError, match="dimension"):
+        search(0, 5, 3)
 
 
 def test_search_d5_finds_published_support():
