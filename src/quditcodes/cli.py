@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Every subcommand prints one JSON document to stdout.  Exit codes:
+Every subcommand prints one JSON document to stdout, on one line with
+sorted keys.  Exit codes:
 0 success / all checks pass, 1 verification found violations, 2 invalid
 input (with a machine-readable error object on stdout).
 """
@@ -30,8 +31,8 @@ DATA_PACKAGE = "quditcodes.data"
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # One `dumps` call, unindented: only that path runs the C encoder.
+    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _resolve_code(path: str):

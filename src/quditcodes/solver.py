@@ -68,6 +68,12 @@ def build_qf_system(d: int, N: int,
         if not is_eligible(rep, d, N):
             raise InvalidInputError(
                 f"support vector {rep} is not eligible at (d={d}, N={N})")
+    for n, rep in enumerate(reps):
+        m = reps.index(rep)
+        if m != n:
+            raise InvalidInputError(
+                f"support lists one tail orbit twice: {tuple(support[m])} "
+                f"and {tuple(support[n])} share the representative {rep}")
     violation = sparsity_violation(reps)
     if violation is not None:
         raise InvalidInputError(f"support is not effectively sparse: {violation}")

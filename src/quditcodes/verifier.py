@@ -69,9 +69,17 @@ class KLReport:
         return not self.violations
 
     def to_json(self) -> dict:
+        # `_Gram` hands out one value object per distinct sums vector plus
+        # one zero, so each object is rendered once, keyed by its id (stable
+        # while the report holds it).
+        rendered: Dict[int, Tuple[float, float]] = {}
+
         def render(value: Amplitude) -> Tuple[float, float]:
-            z = value.to_complex() if isinstance(value, ExactComplex) else complex(value)
-            return z.real, z.imag
+            parts = rendered.get(id(value))
+            if parts is None:
+                z = value.to_complex() if isinstance(value, ExactComplex) else complex(value)
+                parts = rendered[id(value)] = (z.real, z.imag)
+            return parts
 
         constants = []
         for (e, f), value in sorted(self.constants.items()):

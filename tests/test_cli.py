@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from quditcodes import solver
+from quditcodes import cli, solver
 from quditcodes.cli import main
 from quditcodes.codes import code_from_json
 
@@ -178,6 +178,16 @@ def test_search_and_solve_refuse_inputs_with_nothing_to_solve(capsys, argv):
     assert payload["error"]["type"] == "InvalidInputError"
 
 
+def test_solve_refuses_one_orbit_listed_twice(capsys):
+    status, payload = run(capsys, "solve", "--d", "3", "--N", "13",
+                          "--support", "4,9,0;4,0,9;1,6,6;13,0,0")
+    assert status == 2
+    assert payload["error"] == {
+        "type": "InvalidInputError",
+        "message": "support lists one tail orbit twice: (4, 9, 0) and "
+                   "(4, 0, 9) share the representative (4, 9, 0)"}
+
+
 def test_branching_refuses_inputs_beyond_the_caps(capsys):
     status, payload = run(capsys, "branching", "--d", "5001", "--N", "20002")
     assert status == 2
@@ -315,6 +325,36 @@ def test_oracle_reports_the_first_image_that_fails(capsys, monkeypatch):
     assert status == 1
     assert payload == {"pass": False, "witness": {"u": [0, 0, 0, 2, 1],
                                                   "operator": "S(0,3)"}}
+
+
+def sorted_keys(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys), keys
+    return dict(pairs)
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("check", "--code", "c2_d5_n16.json", "--level", "full"), 0),
+    (("check", "--code", "qutrit13.json", "--level", "full"), 1),
+    (("check", "--code", "c4_d7_n20_eta6.json", "--level", "full"), 1),
+    (("check", "--code", "nope.json"), 2),
+    (("search", "--d", "3", "--N", "13", "--k", "3"), 0),
+    (("oracle", "--d", "3", "--N", "4", "--trials", "5"), 0),
+], ids=["check-pass", "check-qutrit13", "check-eta6", "error", "search",
+        "oracle"])
+def test_stdout_is_one_line_of_sorted_json(capsys, monkeypatch, argv, status):
+    # The document is the emitted payload, parsed the same as its indented
+    # rendering, but on one line with its keys sorted.
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit",
+                        lambda obj: (emitted.append(obj), emit(obj)))
+    assert main(list(argv)) == status
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    [payload] = emitted
+    assert json.loads(out, object_pairs_hook=sorted_keys) == json.loads(
+        json.dumps(payload, indent=2, sort_keys=True))
 
 
 def test_config_flag(tmp_path, capsys):

@@ -62,6 +62,21 @@ def test_system_rejects_empty_support():
         build_qf_system(3, 13, ())
 
 
+@pytest.mark.parametrize("support, first, second, rep", [
+    (((4, 9, 0), (4, 0, 9), (1, 6, 6), (13, 0, 0)), (4, 9, 0), (4, 0, 9),
+     (4, 9, 0)),
+    (((13, 0, 0), (3, 5, 5), (13, 0, 0)), (13, 0, 0), (13, 0, 0), (13, 0, 0)),
+])
+def test_system_rejects_one_orbit_listed_twice(support, first, second, rep):
+    # Two columns of one orbit once gave two "solutions" that were the same
+    # code, with the weight on one copy or the other.
+    with pytest.raises(InvalidInputError) as excinfo:
+        build_qf_system(3, 13, support)
+    assert str(excinfo.value) == (
+        f"support lists one tail orbit twice: {first} and {second} "
+        f"share the representative {rep}")
+
+
 @pytest.mark.parametrize("rep", [
     (12, 1, 0),      # weight 1
     (4, 9, 0, 0),    # wrong length

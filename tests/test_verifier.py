@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from quditcodes.arith import InvalidInputError, RadicalSum, multinomial
+from quditcodes.arith import (ExactComplex, InvalidInputError, RadicalSum,
+                              multinomial)
 from quditcodes.codes import Code, OrbitAmplitude, validate
 from quditcodes.operators import error_basis
 from quditcodes.solver import family_code
@@ -205,6 +206,45 @@ def test_float_mode(corpus):
     report = kl_full(corpus["qutrit13"], mode="float")
     assert not report.passed
     assert any(abs(v.value) > 1e-6 for v in report.violations)
+
+
+def reference_json(report):
+    """`KLReport.to_json` with every constant and violation rendered on
+    its own, value by value."""
+    def render(value):
+        z = value.to_complex() if isinstance(value, ExactComplex) else complex(value)
+        return z.real, z.imag
+
+    constants = []
+    for (e, f), value in sorted(report.constants.items()):
+        re, im = render(value)
+        constants.append({"e": e, "f": f, "re": re, "im": im})
+    violations = []
+    for v in sorted(report.violations, key=lambda v: (v.e, v.f, v.i, v.j)):
+        re, im = render(v.value)
+        violations.append({"e": v.e, "f": v.f, "i": v.i, "j": v.j,
+                           "value": {"re": re, "im": im}})
+    return {"level": report.level, "pass": report.passed,
+            "mode": report.mode, "tolerance": report.tolerance,
+            "checked_elements": report.checked_elements,
+            "structural_zeros": report.structural_zeros,
+            "arithmetic_zeros": report.arithmetic_zeros,
+            "constants": constants, "violations": violations}
+
+
+@pytest.mark.parametrize("name, level, mode", [
+    (name, level, "exact") for name in ("qutrit13", "c2_d5_n16", "c3_d7_n36",
+                                        "c4_d7_n20_eta6")
+    for level in ("full", "reduced", "qf")
+    if (name, level) != ("c4_d7_n20_eta6", "qf")] + [
+    ("c3_d7_n36", "full", "float")])
+def test_report_to_json_renders_each_shared_value_once(corpus, name, level,
+                                                       mode):
+    # The checks of a construct-verify run (eta6 fails validation, so qf
+    # refuses it): rendering each shared value object once must give what
+    # rendering every constant and violation separately gives.
+    report = run_level(corpus[name], level, mode)
+    assert report.to_json() == reference_json(report)
 
 
 def test_report_to_json(corpus):
