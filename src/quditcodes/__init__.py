@@ -1,9 +1,8 @@
 """Exact construction and verification of permutation-invariant qudit
 error-correcting codes."""
 
-from .arith import (ExactComplex, FactoredNatural, InvalidInputError,
-                    RadicalSum, UnfactorableError, factorize, multinomial,
-                    squarefree_split)
+from .arith import (ExactComplex, InvalidInputError, RadicalSum,
+                    UnfactorableError, factorize, squarefree_split)
 from .codes import (Code, OrbitAmplitude, ValidationReport, code_from_json,
                     code_to_json, codeword, load_code, save_code, validate)
 from .combinatorics import (TailOrbit, canonical_representative, cyclic_shift,

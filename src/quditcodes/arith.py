@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: factored naturals, sums of square roots, exact complexes.
+"""Exact scalar arithmetic: factorization, sums of square roots, exact complexes.
 
 Amplitudes of the codes handled by this library are of the form
 ``(rational) * sqrt(rational)``, and Knill-Laflamme matrix elements are
@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import takewhile
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -70,124 +68,12 @@ def factorize(n: int) -> Dict[int, int]:
 
 def squarefree_split(n: int) -> Tuple[int, int]:
     """Write n = square_part**2 * squarefree_part and return the two parts."""
-    return _split_factored(factorize(n))
-
-
-def _split_factored(factors: Mapping[int, int]) -> Tuple[int, int]:
     square, squarefree = 1, 1
-    for p, e in factors.items():
+    for p, e in factorize(n).items():
         square *= p ** (e // 2)
         if e % 2:
             squarefree *= p
     return square, squarefree
-
-
-# ---------------------------------------------------------------------------
-# Factored naturals
-
-
-class FactoredNatural:
-    """A positive integer kept as its prime factorization.
-
-    Multinomial norms get large enough that factoring them from scratch
-    would dominate the runtime; carrying the exponent map end to end means
-    radicands derived from them never hit the factorizer.
-    """
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: Mapping[int, int] | None = None):
-        self.factors: Dict[int, int] = {
-            p: e for p, e in (factors or {}).items() if e != 0
-        }
-
-    @classmethod
-    def one(cls) -> "FactoredNatural":
-        return cls({})
-
-    @classmethod
-    def of(cls, n: int) -> "FactoredNatural":
-        return cls(factorize(n))
-
-    @classmethod
-    def factorial(cls, n: int) -> "FactoredNatural":
-        """n! via prime exponent counts (no full product is ever formed)."""
-        return cls({p: _legendre(n, p) for p in _primes_upto(n)})
-
-    def __mul__(self, other: "FactoredNatural") -> "FactoredNatural":
-        merged = dict(self.factors)
-        for p, e in other.factors.items():
-            merged[p] = merged.get(p, 0) + e
-        return FactoredNatural(merged)
-
-    def exact_div(self, other: "FactoredNatural") -> "FactoredNatural":
-        merged = dict(self.factors)
-        for p, e in other.factors.items():
-            merged[p] = merged.get(p, 0) - e
-        if any(e < 0 for e in merged.values()):
-            raise InvalidInputError("quotient is not an integer")
-        return FactoredNatural(merged)
-
-    def value(self) -> int:
-        n = 1
-        for p, e in self.factors.items():
-            n *= p ** e
-        return n
-
-    def sqrt_split(self) -> Tuple[int, int]:
-        """(square_part, squarefree_part) without any factorization work."""
-        return _split_factored(self.factors)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FactoredNatural) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.factors.items()))
-
-    def __repr__(self) -> str:
-        return f"FactoredNatural({self.factors!r})"
-
-
-def _primes_upto(n: int) -> Iterator[int]:
-    """The primes p <= n, read off one shared immutable table."""
-    return takewhile(lambda p: p <= n, _prime_table(max(2, n).bit_length()))
-
-
-@lru_cache(maxsize=None)
-def _prime_table(bits: int) -> Tuple[int, ...]:
-    """Every prime below 2**bits; keyed by bit length so that few exist."""
-    n = 1 << bits
-    sieve = bytearray([1]) * n
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n - 1) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = bytearray(len(sieve[p * p:: p]))
-    return tuple(p for p in range(2, n) if sieve[p])
-
-
-def _legendre(n: int, p: int) -> int:
-    """Legendre's formula: the exponent of the prime p in n!."""
-    e = 0
-    while n >= p:
-        n //= p
-        e += n
-    return e
-
-
-def multinomial(n: int, counts: Iterable[int]) -> FactoredNatural:
-    """n! / prod(c_i!) in factored form; the counts must sum to n.
-
-    Each prime's exponent is Legendre's count in n! minus its counts in the
-    c_i!.  For the integer value alone, `operators.basis_norm` is faster.
-    """
-    counts = tuple(counts)
-    if any(c < 0 for c in counts):
-        raise InvalidInputError(f"negative count in {counts}")
-    if sum(counts) != n:
-        raise InvalidInputError(f"counts {counts} do not sum to {n}")
-    return FactoredNatural({
-        p: _legendre(n, p) - sum(_legendre(c, p) for c in counts if c >= p)
-        for p in _primes_upto(n)})
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +115,13 @@ class RadicalSum:
             raise InvalidInputError(f"negative radicand {r}")
         if r == 0 or c == 0:
             return cls.zero()
-        # sqrt(p/q) = sqrt(p*q)/q
-        square, squarefree = squarefree_split(r.numerator * r.denominator)
-        return cls({squarefree: Fraction(c * square, r.denominator)})
-
-    @classmethod
-    def sqrt_factored(cls, exponents: Mapping[int, int],
-                      coeff: Rational = 1) -> "RadicalSum":
-        """coeff * sqrt(prod p**e) from a prime exponent map (e may be < 0)."""
-        c = Fraction(coeff)
-        if c == 0:
-            return cls.zero()
-        squarefree = 1
-        for p, e in exponents.items():
-            c *= Fraction(p) ** (e // 2) if e >= 0 else Fraction(1, p ** (-(e // 2)))
-            if e % 2:
-                squarefree *= p
-        return cls({squarefree: c} if c else {})
+        # sqrt(p/q) = sqrt(p*q)/q.  p and q are coprime, so splitting each
+        # on its own gives the squarefree part of p*q as a product, and
+        # each factorization stays within its own budget.
+        p_square, p_free = squarefree_split(r.numerator)
+        q_square, q_free = squarefree_split(r.denominator)
+        return cls({p_free * q_free:
+                    Fraction(c * p_square * q_square, r.denominator)})
 
     # -- ring operations ---------------------------------------------------
 

@@ -40,6 +40,8 @@ def _resolve_code(path: str):
         return load_code(path)
     except FileNotFoundError:
         pass
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8
+        raise InvalidInputError(f"cannot read code file {path}: {exc}") from exc
     entry = resources.files(DATA_PACKAGE).joinpath(path)
     if entry.is_file():
         return code_from_json(json.loads(entry.read_text()))

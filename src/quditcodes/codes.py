@@ -200,5 +200,5 @@ def save_code(code: Code, path: str) -> None:
 
 
 def load_code(path: str) -> Code:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return code_from_json(json.load(fh))

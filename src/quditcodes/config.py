@@ -27,12 +27,16 @@ class Config:
     def check(self) -> "Config":
         if self.mode not in ("exact", "float"):
             raise InvalidInputError(f"mode must be exact or float, got {self.mode!r}")
-        if not 0 < self.float_tolerance <= 1e-3:
+        # `type(x) is int`, since bool is an int: JSON true is not the cap 1.
+        tol = self.float_tolerance
+        if type(tol) not in (int, float) or not 0 < tol <= 1e-3:
             raise InvalidInputError(
-                f"float tolerance must lie in (0, 1e-3], got {self.float_tolerance}")
+                f"float tolerance must lie in (0, 1e-3], got {tol!r}")
         for name in ("max_d", "max_n", "oracle_term_cap"):
-            if getattr(self, name) <= 0:
-                raise InvalidInputError(f"{name} must be positive")
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise InvalidInputError(
+                    f"{name} must be a positive integer, got {value!r}")
         return self
 
 
@@ -52,10 +56,12 @@ def load_config(path: str | None = None) -> Config:
     if not path:
         return config
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"config {path} is not a JSON object")
     known = {f.name for f in fields(Config)}
     unknown = set(data) - known
     if unknown:

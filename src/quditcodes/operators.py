@@ -161,9 +161,8 @@ def z_eigenexponent(u: OccupationVector) -> int:
 def basis_norm(u: OccupationVector) -> int:
     """<S_u|S_u>: the multinomial coefficient of u, as an integer.
 
-    The library's one integer multinomial; `arith.multinomial` gives the
-    same number factored, for callers that need its primes.  u must be a
-    tuple, since the cache hashes it.
+    The library's one multinomial.  u must be a tuple, since the cache
+    hashes it.
     """
     if min(u, default=0) < 0:
         raise InvalidInputError(f"negative count in {u}")

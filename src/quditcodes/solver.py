@@ -18,10 +18,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .arith import (FactoredNatural, InvalidInputError, RadicalSum, factorize,
-                    multinomial)
+from .arith import InvalidInputError, RadicalSum
 from .codes import Code, OrbitAmplitude, validate
 from .combinatorics import (OccupationVector, TailOrbit, check_dimensions,
                             cyclic_shift, expand_orbit, is_eligible,
@@ -156,18 +155,6 @@ def _positive_rays(top: Row, bottom: Row) -> List[Tuple[int, ...]]:
     return rays
 
 
-def _amplitude(xi: Fraction, norm: FactoredNatural) -> RadicalSum:
-    """+sqrt(xi / <S_s|S_s>) without factoring the big multinomial."""
-    exponents: Dict[int, int] = {}
-    for p, e in factorize(xi.numerator).items():
-        exponents[p] = exponents.get(p, 0) + e
-    for p, e in factorize(xi.denominator).items():
-        exponents[p] = exponents.get(p, 0) - e
-    for p, e in norm.factors.items():
-        exponents[p] = exponents.get(p, 0) - e
-    return RadicalSum.sqrt_factored(exponents)
-
-
 def solve_system(system: QFSystem) -> List[Solution]:
     """Positive normalized solutions of the homogeneous rows.
 
@@ -182,10 +169,9 @@ def solve_system(system: QFSystem) -> List[Solution]:
         scale = sum(size * x for size, x in zip(system.normalization, ray))
         xi = tuple(Fraction(x, scale) for x in ray)
         orbits = tuple(
-            OrbitAmplitude(orbit.representative,
-                           _amplitude(x, multinomial(system.N,
-                                                     orbit.representative)))
-            for orbit, x in zip(system.support, xi) if x)
+            OrbitAmplitude(o.representative,
+                           RadicalSum.sqrt(x / basis_norm(o.representative)))
+            for o, x in zip(system.support, xi) if x)
         eta = system.N % system.d
         solutions.append(Solution(xi, Code(system.d, system.N, eta, orbits)))
     solutions.sort(key=lambda s: s.xi, reverse=True)

@@ -1,4 +1,3 @@
-import math
 import time
 from fractions import Fraction
 
@@ -7,9 +6,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditcodes.arith import (ExactComplex, FactoredNatural, InvalidInputError,
-                              RadicalSum, UnfactorableError, factorize,
-                              multinomial, squarefree_split)
+from quditcodes.arith import (ExactComplex, InvalidInputError, RadicalSum,
+                              UnfactorableError, factorize, squarefree_split)
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 radicands = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 13, 15])
@@ -63,41 +61,6 @@ def test_factorize_refuses_two_primes_above_the_trial_bound_at_once():
     assert time.perf_counter() - start < 1.0
 
 
-def test_factorial_matches_math():
-    for n in (0, 1, 2, 7, 30):
-        assert FactoredNatural.factorial(n).value() == math.factorial(n)
-
-
-def test_multinomial_matches_direct_product():
-    assert multinomial(13, (13, 0, 0)).value() == 1
-    assert multinomial(13, (4, 9, 0)).value() == math.comb(13, 4)
-    assert multinomial(13, (3, 5, 5)).value() == (
-        math.factorial(13) // (math.factorial(3) * math.factorial(5) ** 2))
-
-
-def test_multinomial_rejects_bad_counts():
-    with pytest.raises(InvalidInputError):
-        multinomial(5, (3, 3))
-    with pytest.raises(InvalidInputError):
-        multinomial(5, (6, -1))
-
-
-def test_factored_natural_exact_div():
-    a = FactoredNatural.of(360)
-    b = FactoredNatural.of(12)
-    assert a.exact_div(b).value() == 30
-    with pytest.raises(InvalidInputError):
-        b.exact_div(a)
-
-
-def test_sqrt_split_no_factorization():
-    n = multinomial(36, (8, 28, 0, 0, 0, 0, 0))
-    square, squarefree = n.sqrt_split()
-    assert square ** 2 * squarefree == n.value()
-    root, rem = math.isqrt(squarefree), squarefree
-    assert root * root != rem or rem == 1
-
-
 # ---------------------------------------------------------------------------
 # radical sums
 
@@ -110,16 +73,17 @@ def test_sqrt_canonicalizes_rational_radicands():
     assert RadicalSum.sqrt(0, 5) == RadicalSum.zero()
 
 
+def test_sqrt_splits_numerator_and_denominator_apart():
+    # Both are primes above the trial bound: their product does not factor
+    # within the budget, but each of them does on its own.
+    p, q = 10 ** 6 + 3, 10 ** 6 + 33
+    assert RadicalSum.sqrt(Fraction(p, q)) == \
+        RadicalSum({p * q: Fraction(1, q)})
+
+
 def test_sqrt_rejects_negative_radicand():
     with pytest.raises(InvalidInputError):
         RadicalSum.sqrt(-2)
-
-
-def test_sqrt_factored_handles_negative_exponents():
-    # sqrt(2**3 * 5**-1) = 2*sqrt(2/5) = (2/5)*sqrt(10)
-    assert RadicalSum.sqrt_factored({2: 3, 5: -1}) == \
-        RadicalSum.sqrt(Fraction(8, 5))
-    assert RadicalSum.sqrt_factored({3: -2}) == RadicalSum.of(Fraction(1, 3))
 
 
 @given(radical_sums(), radical_sums(), radical_sums())

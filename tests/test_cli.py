@@ -106,6 +106,20 @@ def test_check_malformed_code_file_exits_2(tmp_path, capsys, keys, value):
     assert payload["error"]["type"] == "InvalidInputError"
 
 
+def test_check_directory_as_code_file_exits_2(tmp_path, capsys):
+    status, payload = run(capsys, "check", "--code", str(tmp_path))
+    assert status == 2
+    assert payload["error"]["type"] == "InvalidInputError"
+
+
+def test_check_non_utf8_code_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_bytes(b"\xff\xfe")
+    status, payload = run(capsys, "check", "--code", str(path))
+    assert status == 2
+    assert payload["error"]["type"] == "InvalidInputError"
+
+
 def test_check_unfactorable_radicand_exits_2(tmp_path, capsys):
     # nextprime(10**19) * nextprime(10**20): no factor below the trial bound.
     radicand = 10000000000000000051 * 100000000000000000039

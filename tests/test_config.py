@@ -38,7 +38,11 @@ def test_unknown_keys_rejected(tmp_path):
 
 def test_invalid_values_rejected(tmp_path):
     for payload in ({"mode": "symbolic"}, {"float_tolerance": 0.5},
-                    {"max_d": 0}, {"workers": -1}):
+                    {"max_d": 0}, {"workers": -1},
+                    # values of the wrong type; JSON true is not the cap 1
+                    {"max_d": "x"}, {"max_d": True}, {"max_n": 20.0},
+                    {"oracle_term_cap": None}, {"float_tolerance": "1e-5"},
+                    {"float_tolerance": True}, {"mode": ["exact"]}):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(InvalidInputError):
@@ -51,4 +55,14 @@ def test_unreadable_file_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json")
     with pytest.raises(InvalidInputError):
+        load_config(str(path))
+
+
+def test_non_utf8_and_non_object_files_rejected(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(InvalidInputError, match="cannot read config"):
+        load_config(str(path))
+    path.write_text("[1]")
+    with pytest.raises(InvalidInputError, match="not a JSON object"):
         load_config(str(path))

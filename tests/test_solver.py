@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from quditcodes import solver
 from quditcodes.arith import InvalidInputError, RadicalSum
 from quditcodes.codes import validate
+from quditcodes.operators import basis_norm
 from quditcodes.combinatorics import (expand_orbit, is_effectively_sparse,
                                       iter_support_representatives,
                                       support_is_sparse, tail_orbit)
@@ -154,6 +155,34 @@ def test_infeasible_support_yields_no_solutions():
     # difference, so the first form admits no positive solution.
     system = build_qf_system(3, 13, ((13, 0, 0), (10, 3, 0)))
     assert solve_system(system) == []
+
+
+@st.composite
+def sparse_supports(draw):
+    """A sparse support of 2 to 4 orbits at d = 3, 5 or 7, grown greedily
+    along a random order of the representatives."""
+    d, N = draw(st.sampled_from([(3, 13), (3, 16), (5, 16), (5, 21),
+                                 (7, 20), (7, 27)]))
+    size = draw(st.integers(2, 4))
+    support = []
+    for rep in draw(st.permutations(list(iter_support_representatives(d, N)))):
+        if len(support) < size and support_is_sparse(support + [rep]):
+            support.append(rep)
+    return d, N, tuple(support)
+
+
+@given(sparse_supports())
+@example((3, 13, QUTRIT_SUPPORT))
+@settings(max_examples=100, deadline=None)
+def test_amplitudes_square_to_xi_over_the_norm(case):
+    d, N, support = case
+    system = build_qf_system(d, N, support)
+    for solution in solve_system(system):
+        xi = dict(zip((o.representative for o in system.support), solution.xi))
+        for orbit in solution.code.orbits:
+            rep, amp = orbit.representative, orbit.amplitude
+            assert amp * amp == RadicalSum.of(xi[rep] / basis_norm(rep))
+            assert amp.to_float() > 0
 
 
 def test_solver_drops_zero_coordinates():

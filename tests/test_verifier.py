@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from quditcodes.arith import (ExactComplex, InvalidInputError, RadicalSum,
-                              multinomial)
+from quditcodes.arith import ExactComplex, InvalidInputError, RadicalSum
 from quditcodes.codes import Code, OrbitAmplitude, validate
-from quditcodes.operators import error_basis
+from quditcodes.operators import basis_norm, error_basis
 from quditcodes.solver import family_code
 from quditcodes.verifier import (PairTables, kl_full, kl_reduced, qf_check,
                                  run_level)
@@ -143,7 +142,7 @@ def test_qf_check_reports_each_failing_form():
     support = ((13, 0, 0), (4, 9, 0), (3, 5, 5))
     code = Code(3, 13, 1, tuple(
         OrbitAmplitude(u, RadicalSum.sqrt(Fraction(1, 4)
-                                          / multinomial(13, u).value()))
+                                          / basis_norm(u)))
         for u in support))
     assert validate(code).passed
     report = qf_check(code)
