@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import InvalidInputError, RadicalSum
 from .codes import Code, OrbitAmplitude, validate
@@ -28,7 +28,7 @@ from .combinatorics import (OccupationVector, TailOrbit, check_dimensions,
                             support_is_sparse, tail_orbit)
 from .config import Config, check_scale
 from .operators import basis_norm, error_basis
-from .verifier import PairTables, kl_full
+from .verifier import PairTables, full_rows_vanish, kl_full
 
 Row = Tuple[int, ...]
 
@@ -283,8 +283,11 @@ def search(d: int, N: int, support_size: int,
     and keep solutions that pass full verification.
 
     (d, N) must lie within the caps `max_d` and `max_n`.  `verify` takes a
-    Code and returns bool; the default runs the full matrix-element check,
-    with one set of pair tables shared by every code of this call.
+    Code and returns bool; the default rejects on the amplitude-free rows
+    (`full_rows_vanish`) and confirms with the full matrix-element check,
+    both over one set of pair tables shared by every code of this call.
+    A ray is fixed by its support, so larger subsets meet one code many
+    times: each distinct code is validated and verified once per call.
     """
     check_scale(d, N, max_d, max_n)
     check_dimensions(d, N)
@@ -301,12 +304,14 @@ def search(d: int, N: int, support_size: int,
             f"N={N} has residue {N % d} not coprime to d={d}")
     if verify is None:
         tables = PairTables(d, error_basis(d))
-        verify = lambda code: kl_full(code, max_d=max_d, max_n=max_n,
-                                      _tables=tables).passed
+        verify = lambda code: (
+            full_rows_vanish(code, tables)
+            and kl_full(code, max_d=max_d, max_n=max_n, _tables=tables).passed)
 
     reps = list(iter_support_representatives(d, N))
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     codes: List[Code] = []
+    verdicts: Dict[Code, bool] = {}
     tried = 0
     exhausted = True
     for subset in itertools.combinations(reps, support_size):
@@ -321,7 +326,12 @@ def search(d: int, N: int, support_size: int,
         tried += 1
         system = build_qf_system(d, N, subset)
         for solution in solve_system(system):
-            if validate(solution.code).passed and verify(solution.code):
-                codes.append(solution.code)
+            code = solution.code
+            accepted = verdicts.get(code)
+            if accepted is None:
+                accepted = verdicts[code] = (validate(code).passed
+                                             and verify(code))
+            if accepted:
+                codes.append(code)
     codes.sort(key=lambda c: c.support_representatives())
     return SearchResult(codes, tried, exhausted)

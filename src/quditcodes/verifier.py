@@ -10,7 +10,9 @@ quadratic forms that suffice for sparse doubly permutation-invariant
 codes.  All three levels evaluate their elements with one sparse Gram
 engine, assembled per code from amplitude-free orbit-pair tables
 (`PairTables`), and decide them by one rule, `_Gram.check`, so that each
-level is a short list of `check` calls.
+level is a short list of `check` calls.  `full_rows_vanish` reads the full
+level's verdict off the same tables as integer rows, without evaluating an
+element; `search` uses it to reject before `kl_full` confirms.
 """
 
 from __future__ import annotations
@@ -138,6 +140,7 @@ class PairTables:
         self.names = [op.name() for op in self.ops]
         self._indexes: Dict[Hashable, OrbitIndex] = {}
         self._tables: Dict[Tuple[Hashable, Hashable], PairTable] = {}
+        self._rows: Dict[Tuple[Hashable, Hashable], Dict[int, int]] = {}
 
     def add_images(self, key: Hashable,
                    images: Sequence[Sequence[OrbitImage]]) -> None:
@@ -168,6 +171,31 @@ class PairTables:
             table = self._tables[(o, p)] = _join(self._index(o),
                                                  self._index(p))
         return table
+
+    def rows(self, o: Hashable, p: Hashable) -> Dict[int, int]:
+        """The nonzero integer rows of the full-level KL rule on the pair
+        table of (o, p): row 2*key + part is the real (part 0) or imaginary
+        (part 1) coefficient of alpha_o alpha_p in element `key` when that
+        cell is off the diagonal, and in element `key` minus its operator
+        pair's (0, 0) element when it is on it.  A code passes `kl_full`
+        exactly when every row, summed over its orbit pairs with these
+        products as weights, vanishes (`full_rows_vanish`)."""
+        rows = self._rows.get((o, p))
+        if rows is None:
+            d = self.d
+            acc: Dict[int, int] = defaultdict(int)
+            for key, (re, im) in self.pair(o, p).items():
+                if key % (d * d):
+                    acc[2 * key] += re
+                    acc[2 * key + 1] += im
+                else:
+                    # The operator pair's (0, 0) constant is subtracted
+                    # from each of its diagonal cells (i, i), i >= 1.
+                    for i in range(1, d):
+                        acc[2 * (key + i * d + i)] -= re
+                        acc[2 * (key + i * d + i) + 1] -= im
+            rows = self._rows[(o, p)] = {row: x for row, x in acc.items() if x}
+        return rows
 
 
 def _orbit_image(op: ErrorOperator, members: Sequence[OccupationVector]
@@ -216,6 +244,70 @@ def _orbit_keys(code: Code) -> List[Optional[OccupationVector]]:
     return [None if key in keys[o + 1:] else key for o, key in enumerate(keys)]
 
 
+def _radicals(code: Code) -> Tuple[int, List[Tuple[int, List[int]]]]:
+    """The products alpha_o alpha_p of the code's amplitudes (index o*k + p)
+    regrouped by radicand: a common denominator D and, per radicand r in
+    increasing order, the integer numerators of their sqrt(r) coefficients
+    over D.  Distinct square-free radicands are linearly independent over
+    Q, so an integer combination of the products is zero exactly when its
+    dot product with every radicand's numerators is."""
+    alphas = [entry.amplitude.terms for entry in code.orbits]
+    root = math.lcm(*(c.denominator for terms in alphas
+                      for c in terms.values()))
+    scaled = [[(r, c.numerator * (root // c.denominator))
+               for r, c in terms.items()] for terms in alphas]
+    k = len(scaled)
+    numerators: Dict[int, List[int]] = {}
+    for o, left in enumerate(scaled):
+        for p, right in enumerate(scaled):
+            for r1, c1 in left:
+                for r2, c2 in right:
+                    # sqrt(r1)*sqrt(r2) = g*sqrt((r1/g)*(r2/g)), g = gcd.
+                    g = math.gcd(r1, r2)
+                    r = (r1 // g) * (r2 // g)
+                    row = numerators.get(r)
+                    if row is None:
+                        row = numerators[r] = [0] * (k * k)
+                    row[o * k + p] += c1 * c2 * g
+    return root * root, sorted((r, row) for r, row in numerators.items()
+                               if any(row))
+
+
+def _orbit_pairs(keys: Sequence[Optional[Hashable]]
+                 ) -> List[Tuple[int, Hashable, Hashable]]:
+    """(o*k + p, keys[o], keys[p]) for the ordered orbit pairs that `keys`
+    does not leave out."""
+    k = len(keys)
+    return [(o * k + p, ko, kp) for o, ko in enumerate(keys) if ko is not None
+            for p, kp in enumerate(keys) if kp is not None]
+
+
+def full_rows_vanish(code: Code, tables: PairTables) -> bool:
+    """Whether `code` passes `kl_full` in exact mode, decided on the
+    integer rows of `PairTables.rows` without evaluating an element.
+
+    `tables` must hold `error_basis(code.d)`.  Each row is assembled into
+    its vector over the code's orbit pairs; it vanishes for these
+    amplitudes when, per radicand, its dot product with the products'
+    numerators is 0 (`_radicals`).
+    """
+    keys = _orbit_keys(code)
+    _, radicals = _radicals(code)
+    size = len(keys) ** 2
+    vectors: Dict[int, List[int]] = {}
+    for slot, ko, kp in _orbit_pairs(keys):
+        for row, x in tables.rows(ko, kp).items():
+            vector = vectors.get(row)
+            if vector is None:
+                vector = vectors[row] = [0] * size
+            vector[slot] = x
+    for vector in set(map(tuple, vectors.values())):
+        for _, numerators in radicals:
+            if sum(map(operator.mul, numerators, vector)):
+                return False
+    return True
+
+
 class _Gram:
     """Every <Ea i|Eb j> of one code, assembled from its pair tables.
 
@@ -231,45 +323,36 @@ class _Gram:
                  tables: PairTables, keys: Sequence[Optional[Hashable]]):
         """`keys[o]` names orbit o of the code in `tables`; None leaves it
         out."""
-        self.d, self.n = tables.d, len(tables.ops)
+        d = self.d = tables.d
+        self.n = len(tables.ops)
         self.names = tables.names
         self.report = KLReport(level, mode, tolerance)
         self.float_mode = mode == "float"
         self.zero: Amplitude = complex(0.0) if self.float_mode else ExactComplex.ZERO
-        alphas = [entry.amplitude for entry in code.orbits]
-        k = len(alphas)
-        products = [a * b for a in alphas for b in alphas]
-        # The products regrouped by radicand r: the integer numerators of
-        # their sqrt(r) coefficients over one common denominator, so that
-        # `_combine` is one integer dot product per radicand.
-        self.denominator = math.lcm(*(c.denominator for p in products
-                                      for c in p.terms.values()))
-        self.radicals = [
-            (r, [int(p.terms.get(r, 0) * self.denominator) for p in products])
-            for r in sorted({r for p in products for r in p.terms})]
+        self.denominator, self.radicals = _radicals(code)
 
+        size = 2 * len(keys) ** 2
         sums: Dict[int, List[int]] = {}
-        for o, ko in enumerate(keys):
-            for p, kp in enumerate(keys):
-                if ko is None or kp is None:
-                    continue
-                slot = 2 * (o * k + p)
-                for key, (re, im) in tables.pair(ko, kp).items():
-                    acc = sums.get(key)
-                    if acc is None:
-                        acc = sums[key] = [0] * (2 * k * k)
-                    acc[slot] = re
-                    acc[slot + 1] = im
-        # Each element key -> the id of its sums vector; `_values[id]` is
-        # (value, is zero) once evaluated.
+        for slot, ko, kp in _orbit_pairs(keys):
+            for key, (re, im) in tables.pair(ko, kp).items():
+                acc = sums.get(key)
+                if acc is None:
+                    acc = sums[key] = [0] * size
+                acc[2 * slot] = re
+                acc[2 * slot + 1] = im
+        # Per operator pair a*n + b, each cell i*d + j that some image pair
+        # shares -> the id of its sums vector; `_values[id]` is (value, is
+        # zero) once evaluated.  A cell absent from its pair's dict is a
+        # structural zero.
         ids: Dict[tuple, int] = {}
-        self.sums_id = {key: ids.setdefault(tuple(acc), len(ids))
-                        for key, acc in sums.items()}
+        self.cells: Dict[int, Dict[int, int]] = {}
+        for key, acc in sums.items():
+            pair, cell = divmod(key, d * d)
+            self.cells.setdefault(pair, {})[cell] = ids.setdefault(tuple(acc),
+                                                                   len(ids))
         self._sums = list(ids)
         self._values: List[Optional[Tuple[Amplitude, bool]]] = [None] * len(ids)
         self._differences: Dict[Tuple[int, int], bool] = {}
-        # Operator pairs a*n + b with at least one image pair sharing a key.
-        self.overlapping = {key // (self.d * self.d) for key in self.sums_id}
 
     def _combine(self, sums: Sequence[int]) -> RadicalSum:
         """sum_n alpha_o alpha_p * sums[n] over the products n = (o, p),
@@ -286,15 +369,10 @@ class _Gram:
             return value.is_zero()
         return abs(value) <= self.report.tolerance
 
-    def _element(self, key: int) -> Tuple[Optional[int], Amplitude, bool]:
-        """(sums id, value, is zero) of the element with this key; the id
-        is None for a structural zero.  Every basis element is Hermitian,
-        so <i|Ea Eb|j> is (Ea|i>, Eb|j>)."""
-        self.report.checked_elements += 1
-        sid = self.sums_id.get(key)
-        if sid is None:
-            self.report.structural_zeros += 1
-            return None, self.zero, True
+    def _value(self, sid: int) -> Tuple[Amplitude, bool]:
+        """(value, is zero) of the elements with sums id `sid`, counted as
+        one more arithmetic zero when it is zero.  Every basis element is
+        Hermitian, so <i|Ea Eb|j> is (Ea|i>, Eb|j>)."""
         known = self._values[sid]
         if known is None:
             sums = self._sums[sid]
@@ -305,17 +383,18 @@ class _Gram:
             known = self._values[sid] = (value, self.is_zero(value))
         if known[1]:
             self.report.arithmetic_zeros += 1
-        return (sid,) + known
+        return known
 
-    def _agrees(self, sid: Optional[int], zero: bool,
-                cid: Optional[int], constant_zero: bool) -> bool:
-        """Whether value - constant is zero, for an element and a constant
-        given by their sums ids and zero verdicts from `_element`."""
+    def _agrees(self, sid: int, zero: bool, cid: Optional[int],
+                constant_zero: bool) -> bool:
+        """Whether value - constant is zero, for an element with a sums id
+        and a constant given by its sums id (None for a structural zero)
+        and their zero verdicts."""
         if sid == cid:
             return True
-        if sid is None or cid is None:
+        if cid is None:
             # A structural zero drops out of the difference.
-            return constant_zero if sid is None else zero
+            return zero
         agrees = self._differences.get((sid, cid))
         if agrees is None:
             agrees = self._differences[(sid, cid)] = self.is_zero(
@@ -333,24 +412,38 @@ class _Gram:
         """
         name = (self.names[a], self.names[b])
         d = self.d
-        pair = a * self.n + b
-        if pair not in self.overlapping:
-            # Every element is a structural zero: constant 0, no violation.
-            self.report.checked_elements += 1 + len(cells)
-            self.report.structural_zeros += 1 + len(cells)
-            self.report.constants[name] = self.zero
+        report = self.report
+        report.checked_elements += 1 + len(cells)
+        ids = self.cells.get(a * self.n + b)
+        if ids is None:
+            # No image pair shares a vector: every element is a structural
+            # zero, so the constant is 0 and nothing is violated.
+            report.structural_zeros += 1 + len(cells)
+            report.constants[name] = self.zero
             return
-        base = pair * d * d
-        cid, constant, constant_zero = self._element(base + ref[0] * d + ref[1])
-        self.report.constants[name] = constant
+        cid = ids.get(ref[0] * d + ref[1])
+        if cid is None:
+            report.structural_zeros += 1
+            constant, constant_zero = self.zero, True
+        else:
+            constant, constant_zero = self._value(cid)
+        report.constants[name] = constant
         if vanish and not constant_zero:
-            self.report.violations.append(Violation(*name, *ref, constant))
+            report.violations.append(Violation(*name, *ref, constant))
         for i, j in cells:
-            sid, value, zero = self._element(base + i * d + j)
+            sid = ids.get(i * d + j)
+            if sid is None:
+                # Zero whatever the amplitudes: a violation only where it
+                # must equal a nonzero constant.
+                report.structural_zeros += 1
+                if i == j and not constant_zero:
+                    report.violations.append(Violation(*name, i, j, self.zero))
+                continue
+            value, zero = self._value(sid)
             if i == j:
                 zero = self._agrees(sid, zero, cid, constant_zero)
             if not zero:
-                self.report.violations.append(Violation(*name, i, j, value))
+                report.violations.append(Violation(*name, i, j, value))
 
     def check_all_pairs(self) -> KLReport:
         """`check` of every cell but (0, 0) over all ordered operator pairs."""

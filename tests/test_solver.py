@@ -1,3 +1,4 @@
+import collections
 import itertools
 import weakref
 from fractions import Fraction
@@ -9,14 +10,14 @@ from hypothesis import strategies as st
 
 from quditcodes import solver
 from quditcodes.arith import InvalidInputError, RadicalSum
-from quditcodes.codes import validate
-from quditcodes.operators import basis_norm
+from quditcodes.codes import Code, OrbitAmplitude, validate
+from quditcodes.operators import basis_norm, error_basis
 from quditcodes.combinatorics import (expand_orbit, is_effectively_sparse,
                                       iter_support_representatives,
                                       support_is_sparse, tail_orbit)
 from quditcodes.solver import (build_qf_system, family_code, family_support,
                                passes_prefilter, search, solve_system)
-from quditcodes.verifier import kl_full
+from quditcodes.verifier import PairTables, full_rows_vanish, kl_full
 
 from conftest import reports_identical
 
@@ -158,11 +159,11 @@ def test_infeasible_support_yields_no_solutions():
 
 
 @st.composite
-def sparse_supports(draw):
-    """A sparse support of 2 to 4 orbits at d = 3, 5 or 7, grown greedily
-    along a random order of the representatives."""
-    d, N = draw(st.sampled_from([(3, 13), (3, 16), (5, 16), (5, 21),
-                                 (7, 20), (7, 27)]))
+def sparse_supports(draw, shapes=((3, 13), (3, 16), (5, 16), (5, 21),
+                                  (7, 20), (7, 27))):
+    """A sparse support of 2 to 4 orbits at one of the (d, N) `shapes`,
+    grown greedily along a random order of the representatives."""
+    d, N = draw(st.sampled_from(shapes))
     size = draw(st.integers(2, 4))
     support = []
     for rep in draw(st.permutations(list(iter_support_representatives(d, N)))):
@@ -183,6 +184,26 @@ def test_amplitudes_square_to_xi_over_the_norm(case):
             rep, amp = orbit.representative, orbit.amplitude
             assert amp * amp == RadicalSum.of(xi[rep] / basis_norm(rep))
             assert amp.to_float() > 0
+
+
+@given(sparse_supports(shapes=((3, 13), (3, 16), (5, 16), (5, 21))),
+       st.lists(st.fractions(min_value=Fraction(1, 50), max_value=1,
+                             max_denominator=50), min_size=4, max_size=4))
+@example((3, 13, QUTRIT_SUPPORT), [Fraction(1)] * 4)
+@settings(max_examples=60, deadline=None)
+def test_rows_decide_full_on_sparse_supports(case, squares):
+    # The solved codes of the support, and one with drawn amplitudes
+    # sqrt(x) whose radicands mix, each decided both ways.
+    d, N, support = case
+    tables = PairTables(d, error_basis(d))
+    codes = [solution.code for solution in
+             solve_system(build_qf_system(d, N, support))]
+    codes.append(Code(d, N, N % d, tuple(
+        OrbitAmplitude(tail_orbit(rep).representative, RadicalSum.sqrt(x))
+        for rep, x in zip(support, squares))))
+    for code in codes:
+        assert full_rows_vanish(code, tables) == \
+            kl_full(code, _tables=tables).passed
 
 
 def test_solver_drops_zero_coordinates():
@@ -443,6 +464,46 @@ def test_search_with_custom_verifier():
     result = search(3, 13, 3, verify=lambda code: True)
     supports = {c.support_representatives() for c in result.codes}
     assert tuple(sorted(QUTRIT_SUPPORT)) in supports
+
+
+@pytest.mark.parametrize("d, N, size", [(3, 16, 3), (5, 21, 3), (3, 13, 4)])
+def test_search_default_verify_matches_a_plain_full_check(d, N, size):
+    # The rows only reject: the default returns what `kl_full` alone does.
+    result = search(d, N, size)
+    reference = search(d, N, size, verify=lambda code: kl_full(code).passed)
+    assert result.codes and result.codes == reference.codes
+    assert result.candidates_tried == reference.candidates_tried
+
+
+def test_search_verifies_each_distinct_code_once(monkeypatch):
+    # At k = 4 a ray on two or three orbits solves every support that
+    # contains them, so one code comes back from many subsets; each is
+    # verified once, and the output keeps every occurrence as before.
+    solved = []
+    solve = solver.solve_system
+
+    def recording(system):
+        solutions = solve(system)
+        solved.extend(solution.code for solution in solutions)
+        return solutions
+    monkeypatch.setattr(solver, "solve_system", recording)
+    calls = collections.Counter()
+
+    def accept(code):
+        return code.orbits[0].representative[0] % 2 == 0
+
+    def verify(code):
+        calls[code] += 1
+        return accept(code)
+
+    result = search(3, 16, 4, verify=verify)
+    validated = {code for code in solved if validate(code).passed}
+    assert len(solved) > 2 * len(set(solved))
+    assert set(calls) == validated and set(calls.values()) == {1}
+    expected = [code for code in solved if code in validated and accept(code)]
+    expected.sort(key=lambda c: c.support_representatives())
+    assert result.codes == expected
+    assert 0 < len(set(result.codes)) < len(validated)
 
 
 def test_search_rejects_candidate_cap_below_one():

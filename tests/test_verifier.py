@@ -1,13 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from quditcodes.arith import ExactComplex, InvalidInputError, RadicalSum
 from quditcodes.codes import Code, OrbitAmplitude, validate
+from quditcodes.combinatorics import (iter_support_representatives,
+                                      support_is_sparse)
 from quditcodes.operators import basis_norm, error_basis
-from quditcodes.solver import family_code
-from quditcodes.verifier import (PairTables, kl_full, kl_reduced, qf_check,
-                                 run_level)
+from quditcodes.solver import build_qf_system, family_code, solve_system
+from quditcodes.verifier import (PairTables, full_rows_vanish, kl_full,
+                                 kl_reduced, qf_check, run_level)
 
 from conftest import reports_identical
 
@@ -15,6 +18,15 @@ from conftest import reports_identical
 def as_rational(value):
     assert value.im.is_zero()
     return value.re.as_rational()
+
+
+def tampered_qutrit(code):
+    """qutrit13 with the (4, 9, 0) amplitude corrupted, as in criterion 08."""
+    return Code(code.d, code.N, code.eta, (
+        code.orbits[0],
+        OrbitAmplitude((4, 9, 0), RadicalSum.sqrt(Fraction(1, 55),
+                                                  Fraction(1, 10))),
+        code.orbits[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -81,17 +93,55 @@ def test_shared_tables_keep_each_codes_own_report(corpus):
     # second check reads only tables the first one built; the per-code
     # value memo must not carry the first code's values over.
     code = corpus["qutrit13"]
-    tampered = Code(code.d, code.N, code.eta, (
-        code.orbits[0],
-        OrbitAmplitude((4, 9, 0), RadicalSum.sqrt(Fraction(1, 55),
-                                                  Fraction(1, 10))),
-        code.orbits[2]))
+    tampered = tampered_qutrit(code)
     tables = PairTables(3, error_basis(3))
     first = kl_full(code, _tables=tables)
     second = kl_full(tampered, _tables=tables)
     assert reports_identical(first, kl_full(code))
     assert reports_identical(second, kl_full(tampered))
     assert not reports_identical(first, second)
+
+
+# ---------------------------------------------------------------------------
+# amplitude-free rows of the full check
+
+
+def validated_solutions(d, N, size):
+    """Every distinct code solved on a sparse support of `size` orbits
+    that passes validation."""
+    codes = {}
+    for subset in itertools.combinations(iter_support_representatives(d, N),
+                                         size):
+        if support_is_sparse(subset):
+            for solution in solve_system(build_qf_system(d, N, subset)):
+                if validate(solution.code).passed:
+                    codes.setdefault(solution.code, None)
+    return list(codes)
+
+
+@pytest.mark.parametrize("d, N, size, total, passing",
+                         [(3, 13, 3, 25, 3), (3, 16, 3, 172, 23),
+                          (5, 16, 3, 3, 3), (3, 13, 4, 24, 3)])
+def test_rows_decide_full_on_every_validated_solution(d, N, size, total,
+                                                      passing):
+    tables = PairTables(d, error_basis(d))
+    codes = validated_solutions(d, N, size)
+    verdicts = [kl_full(code, _tables=tables).passed for code in codes]
+    assert (len(codes), sum(verdicts)) == (total, passing)
+    assert [full_rows_vanish(code, tables) for code in codes] == verdicts
+
+
+def test_rows_decide_full_on_shipped_tampered_and_family_codes(corpus):
+    codes = dict(corpus, tampered=tampered_qutrit(corpus["qutrit13"]))
+    for d in (5, 7, 9):
+        codes[f"family{d}"] = family_code(d)[0]
+    verdicts = {}
+    for name, code in codes.items():
+        tables = PairTables(code.d, error_basis(code.d))
+        verdicts[name] = full_rows_vanish(code, tables)
+        assert verdicts[name] == kl_full(code, max_n=128).passed, name
+    assert [name for name, ok in verdicts.items() if not ok] == \
+        ["qutrit13", "c4_d7_n20_eta6", "tampered"]
 
 
 # ---------------------------------------------------------------------------
