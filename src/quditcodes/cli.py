@@ -3,7 +3,8 @@
 Every subcommand prints one JSON document to stdout, on one line with
 sorted keys.  Exit codes:
 0 success / all checks pass, 1 verification found violations, 2 invalid
-input (with a machine-readable error object on stdout).
+input (with a machine-readable error object on stdout).  `oracle`
+compares dense images with `generator_action` on integers alone.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from .codes import code_from_json, code_to_json, load_code
 from .combinatorics import (check_dimensions, check_occupation,
                             enumerate_supports)
 from .config import Config, check_scale, load_config
-from .oracle import (CollapseError, class_images, dense_symmetric_vector,
-                     image_agrees)
-from .operators import StateVector, apply_generator, error_basis
+from .oracle import CollapseError, class_images, dense_symmetric_vector
+from .operators import error_basis, generator_action
 from .reptheory import branching_multiplicity, sym_dim
 from .solver import build_qf_system, family_code, search, solve_system
 from .verifier import run_level
@@ -119,8 +119,9 @@ def cmd_search(args, config: Config) -> int:
 
 
 def cmd_oracle(args, config: Config) -> int:
-    """Differential test: combinatorial vs dense action on random basis
-    vectors, all generators each."""
+    """Differential test on random basis vectors |S_u>, all generators
+    each: a collapsed dense image must equal the dict of (re, im) Gaussian
+    integers that `generator_action` gives."""
     check_scale(args.d, args.N, config.max_d, config.max_n)
     if args.d < 2 or args.N < 1 or args.trials < 1:
         raise InvalidInputError(
@@ -135,9 +136,9 @@ def cmd_oracle(args, config: Config) -> int:
         images = class_images(basis, dense_u, args.d, 2,
                               config.oracle_term_cap)
         for op in basis:
-            sparse = apply_generator(op, StateVector.basis(u))
             try:
-                agree = image_agrees(next(images), sparse)
+                agree = next(images) == {v: (re, im) for v, re, im
+                                         in generator_action(op, u)}
             except CollapseError:
                 agree = False
             if not agree:

@@ -25,19 +25,23 @@ class Config:
     oracle_term_cap: int = 200_000
 
     def check(self) -> "Config":
-        if self.mode not in ("exact", "float"):
-            raise InvalidInputError(f"mode must be exact or float, got {self.mode!r}")
+        check_mode(self.mode, self.float_tolerance)
         # `type(x) is int`, since bool is an int: JSON true is not the cap 1.
-        tol = self.float_tolerance
-        if type(tol) not in (int, float) or not 0 < tol <= 1e-3:
-            raise InvalidInputError(
-                f"float tolerance must lie in (0, 1e-3], got {tol!r}")
         for name in ("max_d", "max_n", "oracle_term_cap"):
             value = getattr(self, name)
             if type(value) is not int or value <= 0:
                 raise InvalidInputError(
                     f"{name} must be a positive integer, got {value!r}")
         return self
+
+
+def check_mode(mode: str, tolerance: float) -> None:
+    """Refuse a mode but exact or float, and a tolerance outside (0, 1e-3]."""
+    if mode not in ("exact", "float"):
+        raise InvalidInputError(f"mode must be exact or float, got {mode!r}")
+    if type(tolerance) not in (int, float) or not 0 < tolerance <= 1e-3:
+        raise InvalidInputError(
+            f"float tolerance must lie in (0, 1e-3], got {tolerance!r}")
 
 
 def check_scale(d: int, N: Optional[int], max_d: int, max_n: int) -> None:

@@ -31,7 +31,8 @@ over classes.
 What is shared: `dense_kl` splits the class images by orbit and hands
 them to the verifier's `PairTables` and `_Gram`, the join and
 finalization `kl_full` uses.  The join itself is guarded in the tests by
-a naive evaluator built on `apply_generator` and `inner_product`.
+a naive evaluator built on `apply_generator` and `inner_product`, and
+`quditcodes oracle` compares `class_images` with `generator_action`.
 """
 
 from __future__ import annotations
@@ -275,21 +276,17 @@ def class_images(ops: Iterable[ErrorOperator], state: DenseState, d: int,
         yield image
 
 
-def image_agrees(image: ClassImage, sparse: StateVector) -> bool:
-    """Exact equality of a collapsed single-vector image and an
-    occupation-keyed state, compared per class as Gaussian integers."""
+def states_agree(dense: DenseState, sparse: StateVector) -> bool:
+    """Exact equality of a single-vector dense state and an
+    occupation-keyed one: the collapse, then each class compared as a
+    Gaussian integer."""
+    try:
+        image = collapse(dense, sparse.d, 2)
+    except CollapseError:
+        return False
     return image.keys() == sparse.terms.keys() and all(
         ExactComplex(RadicalSum.of(re), RadicalSum.of(im)) == sparse.terms[u]
         for u, (re, im) in image.items())
-
-
-def states_agree(dense: DenseState, sparse: StateVector) -> bool:
-    """Exact equality of a single-vector dense state and an
-    occupation-keyed one: the collapse, then `image_agrees`."""
-    try:
-        return image_agrees(collapse(dense, sparse.d, 2), sparse)
-    except CollapseError:
-        return False
 
 
 def dense_kl(code: Code, term_cap: int = DEFAULT_TERM_CAP) -> KLReport:

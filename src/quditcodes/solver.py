@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import InvalidInputError, RadicalSum
-from .codes import Code, OrbitAmplitude, validate
+from .codes import Code, OrbitAmplitude
 from .combinatorics import (OccupationVector, TailOrbit, check_dimensions,
                             cyclic_shift, expand_orbit, is_eligible,
                             iter_support_representatives, sparsity_violation,
@@ -253,18 +253,11 @@ def family_code(d: int) -> Tuple[Code, DiscrepancyNote]:
 
 
 def passes_prefilter(support: Sequence[OccupationVector]) -> bool:
-    """Necessary condition: the first quadratic form needs both signs, so
-    some member must have its last shifted phase difference positive and
-    some negative."""
-    d = len(support[0])
-    signs = set()
-    for rep in support:
-        for w in expand_orbit(rep):
-            shifted = cyclic_shift(w, d - 1)
-            diff = shifted[d - 2] - shifted[d - 1]
-            if diff:
-                signs.add(diff > 0)
-    return len(signs) == 2
+    """Necessary condition: row 1 needs both signs.  `_qf_column` adds
+    w[d-1] - w[0] to it for each member w; over a tail orbit w[0] is the
+    head r[0] and w[d-1] takes every tail value, so r alone decides."""
+    return (any(max(r[1:]) > r[0] for r in support)
+            and any(min(r[1:]) < r[0] for r in support))
 
 
 @dataclass
@@ -283,11 +276,15 @@ def search(d: int, N: int, support_size: int,
     and keep solutions that pass full verification.
 
     (d, N) must lie within the caps `max_d` and `max_n`.  `verify` takes a
-    Code and returns bool; the default rejects on the amplitude-free rows
-    (`full_rows_vanish`) and confirms with the full matrix-element check,
-    both over one set of pair tables shared by every code of this call.
-    A ray is fixed by its support, so larger subsets meet one code many
-    times: each distinct code is validated and verified once per call.
+    Code and returns bool, and its verdict alone decides acceptance; the
+    default rejects on the amplitude-free rows (`full_rows_vanish`) and
+    confirms with the full matrix-element check, both over one set of pair
+    tables shared by every code of this call.  A ray is fixed by its
+    support, so larger subsets meet one code many times: `verify` is
+    called once per distinct solved code.  `codes.validate` is not run:
+    the coprime refusal fixes the residue; `build_qf_system` eligibility,
+    distinct orbits and sparsity; positive rays nonzero amplitudes; and
+    sum size * xi = 1, amplitude**2 = xi / basis_norm the normalization.
     """
     check_scale(d, N, max_d, max_n)
     check_dimensions(d, N)
@@ -329,8 +326,7 @@ def search(d: int, N: int, support_size: int,
             code = solution.code
             accepted = verdicts.get(code)
             if accepted is None:
-                accepted = verdicts[code] = (validate(code).passed
-                                             and verify(code))
+                accepted = verdicts[code] = verify(code)
             if accepted:
                 codes.append(code)
     codes.sort(key=lambda c: c.support_representatives())

@@ -28,7 +28,7 @@ from .arith import ExactComplex, InvalidInputError, RadicalSum
 from .codes import Code, validate
 from .combinatorics import (OccupationVector, canonical_representative,
                             cyclic_shift, expand_orbit)
-from .config import Config, check_scale
+from .config import Config, check_mode, check_scale
 from .operators import ErrorOperator, basis_norm, error_basis, generator_action
 
 # Exact elements, or their complex values in float mode.
@@ -323,6 +323,7 @@ class _Gram:
                  tables: PairTables, keys: Sequence[Optional[Hashable]]):
         """`keys[o]` names orbit o of the code in `tables`; None leaves it
         out."""
+        check_mode(mode, tolerance)
         d = self.d = tables.d
         self.n = len(tables.ops)
         self.names = tables.names

@@ -341,6 +341,29 @@ def test_oracle_reports_the_first_image_that_fails(capsys, monkeypatch):
                                                   "operator": "S(0,3)"}}
 
 
+def test_oracle_reports_the_first_image_with_wrong_values(capsys,
+                                                          monkeypatch):
+    # Doubling every value of an S image keeps one value per class, so the
+    # image still collapses, but its Gaussian integers are wrong.
+    from quditcodes import oracle
+    honest = oracle.dense_apply
+
+    def double(op, state, term_cap=oracle.DEFAULT_TERM_CAP):
+        out = honest(op, state, term_cap)
+        return {s: 2 * v for s, v in out.items()} if op.kind == "S" else out
+
+    monkeypatch.setattr(oracle, "dense_apply", double)
+    u = (0, 0, 0, 2, 1)
+    image = next(oracle.class_images([oracle.ErrorOperator("S", 0, 3)],
+                                     oracle.dense_symmetric_vector(u), 5, 2))
+    assert image == {(1, 0, 0, 1, 1): (2, 0)}   # the true coefficient is 1
+    status, payload = run(capsys, "oracle", "--d", "5", "--N", "3",
+                          "--trials", "5", "--seed", "2")
+    assert status == 1
+    assert payload == {"pass": False, "witness": {"u": list(u),
+                                                  "operator": "S(0,3)"}}
+
+
 def sorted_keys(pairs):
     keys = [key for key, _ in pairs]
     assert keys == sorted(keys), keys

@@ -12,7 +12,8 @@ from quditcodes import solver
 from quditcodes.arith import InvalidInputError, RadicalSum
 from quditcodes.codes import Code, OrbitAmplitude, validate
 from quditcodes.operators import basis_norm, error_basis
-from quditcodes.combinatorics import (expand_orbit, is_effectively_sparse,
+from quditcodes.combinatorics import (cyclic_shift, expand_orbit,
+                                      is_effectively_sparse,
                                       iter_support_representatives,
                                       support_is_sparse, tail_orbit)
 from quditcodes.solver import (build_qf_system, family_code, family_support,
@@ -186,6 +187,18 @@ def test_amplitudes_square_to_xi_over_the_norm(case):
             assert amp.to_float() > 0
 
 
+@given(sparse_supports())
+@example((3, 13, QUTRIT_SUPPORT))
+@settings(max_examples=100, deadline=None)
+def test_every_solution_passes_validate(case):
+    # `search` does not run `validate`: the construction must guarantee
+    # every structural check it makes.
+    d, N, support = case
+    for solution in solve_system(build_qf_system(d, N, support)):
+        report = validate(solution.code)
+        assert report.passed, (support, report.checks)
+
+
 @given(sparse_supports(shapes=((3, 13), (3, 16), (5, 16), (5, 21))),
        st.lists(st.fractions(min_value=Fraction(1, 50), max_value=1,
                              max_denominator=50), min_size=4, max_size=4))
@@ -317,6 +330,40 @@ def test_returned_rays_have_minimal_supports():
 
 # ---------------------------------------------------------------------------
 # prefilter soundness
+
+
+def member_prefilter(support):
+    """The prefilter read member by member: row 1 of `build_qf_system`
+    needs a positive and a negative entry among the last shifted phase
+    differences of all orbit members."""
+    d = len(support[0])
+    signs = set()
+    for rep in support:
+        for w in expand_orbit(rep):
+            shifted = cyclic_shift(w, d - 1)
+            diff = shifted[d - 2] - shifted[d - 1]
+            if diff:
+                signs.add(diff > 0)
+    return len(signs) == 2
+
+
+@pytest.mark.parametrize("d, N", [(3, 13), (5, 16)])
+def test_prefilter_matches_the_member_loop_on_small_subsets(d, N):
+    reps = list(iter_support_representatives(d, N))
+    for k in (2, 3):
+        for subset in itertools.combinations(reps, k):
+            assert passes_prefilter(subset) == member_prefilter(subset), subset
+
+
+@given(st.integers(3, 9).flatmap(lambda d: st.lists(
+    st.lists(st.integers(0, 6), min_size=d, max_size=d).map(tuple),
+    min_size=1, max_size=4)))
+@example([(2, 1, 3)])
+@example([(2, 2, 2), (0, 0, 0)])
+@settings(max_examples=300, deadline=None)
+def test_prefilter_matches_the_member_loop_on_any_vectors(support):
+    # Tails in any order, eligible or not.
+    assert passes_prefilter(support) == member_prefilter(support)
 
 
 def test_prefilter_never_excludes_a_solvable_support():

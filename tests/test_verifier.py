@@ -257,6 +257,21 @@ def test_float_mode(corpus):
     assert any(abs(v.value) > 1e-6 for v in report.violations)
 
 
+def test_unknown_mode_or_bad_tolerance_is_refused(corpus):
+    # Mode names are case-sensitive: "Float" is neither exact nor float.
+    code = corpus["c2_d5_n16"]
+    with pytest.raises(InvalidInputError, match="mode"):
+        kl_full(code, mode="Float")
+    with pytest.raises(InvalidInputError, match="mode"):
+        run_level(code, "full", "bogus")
+    with pytest.raises(InvalidInputError, match="tolerance"):
+        kl_full(code, mode="float", tolerance=0.5)
+    with pytest.raises(InvalidInputError, match="mode"):
+        qf_check(code, mode="FLOAT")
+    with pytest.raises(InvalidInputError, match="mode"):
+        kl_reduced(code, mode="")
+
+
 def reference_json(report):
     """`KLReport.to_json` with every constant and violation rendered on
     its own, value by value."""
