@@ -206,10 +206,15 @@ def is_effectively_sparse(support: Iterable[Sequence[int]]
     by a double flip on distinct index pairs, under any cyclic relabeling.
 
     Distance 2 is always forbidden; distance 4 is allowed only for the
-    {+2, -2} pattern (a repeated same-pair flip, which the diagonal
-    quadratic form handles).  The exact self-coincidence (u == v shifted,
-    at distance 0) is skipped; for weight-zero supports with N coprime
-    residue it can only occur at delta = 0 with u == v.
+    {+2, -2} pattern, a repeated same-pair flip.  That relaxation is not
+    sound: a code whose members meet at {+2, -2} can pass `qf` but, with
+    positive amplitudes, fails `full` (qutrit13's <1|S(0,1)S(0,1)|0> =
+    104/9).  `verifier.flips_couple` is the rule that relies on this: on a
+    support this predicate admits, two operators from {I, S(j,k)} couple
+    distinct code words exactly at such a meet, and `search` rejects the
+    code there.  The exact self-coincidence (u == v shifted, at distance
+    0) is skipped; for weight-zero supports with N coprime residue it can
+    only occur at delta = 0 with u == v.
     """
     members = [tuple(u) for u in support]
     for u in members:

@@ -28,7 +28,7 @@ from .combinatorics import (OccupationVector, TailOrbit, check_dimensions,
                             support_is_sparse, tail_orbit)
 from .config import Config, check_scale
 from .operators import basis_norm, error_basis
-from .verifier import PairTables, full_rows_vanish, kl_full
+from .verifier import PairTables, flips_couple, kl_full
 
 Row = Tuple[int, ...]
 
@@ -277,9 +277,10 @@ def search(d: int, N: int, support_size: int,
 
     (d, N) must lie within the caps `max_d` and `max_n`.  `verify` takes a
     Code and returns bool, and its verdict alone decides acceptance; the
-    default rejects on the amplitude-free rows (`full_rows_vanish`) and
-    confirms with the full matrix-element check, both over one set of pair
-    tables shared by every code of this call.  A ray is fixed by its
+    default rejects a code whose flips couple two code words
+    (`flips_couple`, sound because every solved amplitude is positive) and
+    decides the rest with the full matrix-element check, both over one set
+    of pair tables shared by every code of this call.  A ray is fixed by its
     support, so larger subsets meet one code many times: `verify` is
     called once per distinct solved code.  `codes.validate` is not run:
     the coprime refusal fixes the residue; `build_qf_system` eligibility,
@@ -302,7 +303,7 @@ def search(d: int, N: int, support_size: int,
     if verify is None:
         tables = PairTables(d, error_basis(d))
         verify = lambda code: (
-            full_rows_vanish(code, tables)
+            not flips_couple(code, tables)
             and kl_full(code, max_d=max_d, max_n=max_n, _tables=tables).passed)
 
     reps = list(iter_support_representatives(d, N))

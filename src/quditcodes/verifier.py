@@ -10,9 +10,10 @@ quadratic forms that suffice for sparse doubly permutation-invariant
 codes.  All three levels evaluate their elements with one sparse Gram
 engine, assembled per code from amplitude-free orbit-pair tables
 (`PairTables`), and decide them by one rule, `_Gram.check`, so that each
-level is a short list of `check` calls.  `full_rows_vanish` reads the full
-level's verdict off the same tables as integer rows, without evaluating an
-element; `search` uses it to reject before `kl_full` confirms.
+level is a short list of `check` calls.  `flips_couple` finds on the same
+tables, without evaluating an element, codes whose positive amplitudes
+make them fail `kl_full`; `search` rejects on it before `kl_full`
+decides.
 """
 
 from __future__ import annotations
@@ -140,7 +141,6 @@ class PairTables:
         self.names = [op.name() for op in self.ops]
         self._indexes: Dict[Hashable, OrbitIndex] = {}
         self._tables: Dict[Tuple[Hashable, Hashable], PairTable] = {}
-        self._rows: Dict[Tuple[Hashable, Hashable], Dict[int, int]] = {}
 
     def add_images(self, key: Hashable,
                    images: Sequence[Sequence[OrbitImage]]) -> None:
@@ -172,30 +172,28 @@ class PairTables:
                                                  self._index(p))
         return table
 
-    def rows(self, o: Hashable, p: Hashable) -> Dict[int, int]:
-        """The nonzero integer rows of the full-level KL rule on the pair
-        table of (o, p): row 2*key + part is the real (part 0) or imaginary
-        (part 1) coefficient of alpha_o alpha_p in element `key` when that
-        cell is off the diagonal, and in element `key` minus its operator
-        pair's (0, 0) element when it is on it.  A code passes `kl_full`
-        exactly when every row, summed over its orbit pairs with these
-        products as weights, vanishes (`full_rows_vanish`)."""
-        rows = self._rows.get((o, p))
-        if rows is None:
-            d = self.d
-            acc: Dict[int, int] = defaultdict(int)
-            for key, (re, im) in self.pair(o, p).items():
-                if key % (d * d):
-                    acc[2 * key] += re
-                    acc[2 * key + 1] += im
-                else:
-                    # The operator pair's (0, 0) constant is subtracted
-                    # from each of its diagonal cells (i, i), i >= 1.
-                    for i in range(1, d):
-                        acc[2 * (key + i * d + i)] -= re
-                        acc[2 * (key + i * d + i) + 1] -= im
-            rows = self._rows[(o, p)] = {row: x for row, x in acc.items() if x}
-        return rows
+
+def flips_couple(code: Code, tables: PairTables) -> bool:
+    """Whether one of the code's ordered orbit-pair tables holds an
+    off-diagonal cell (i != j) for two operators from {I, S(j,k)}.
+
+    Then `code` fails `kl_full` when its amplitudes are positive, as every
+    solved code's are: `generator_action` gives I and S positive integer
+    coefficients, so every term of that element <i|Ea Eb|j> is positive and
+    it cannot vanish.  `tables` must hold `error_basis(code.d)`.  On an
+    effectively sparse support such a cell exists exactly when two members
+    meet at the {+2, -2} pattern under a relabeling
+    (`combinatorics.is_effectively_sparse`).
+    """
+    d, n = tables.d, len(tables.ops)
+    flips = [a for a, op in enumerate(tables.ops) if op.kind in ("I", "S")]
+    pairs = {a * n + b for a in flips for b in flips}
+    for _, ko, kp in _orbit_pairs(_orbit_keys(code)):
+        for key in tables.pair(ko, kp):
+            pair, cell = divmod(key, d * d)
+            if pair in pairs and cell // d != cell % d:
+                return True
+    return False
 
 
 def _orbit_image(op: ErrorOperator, members: Sequence[OccupationVector]
@@ -280,32 +278,6 @@ def _orbit_pairs(keys: Sequence[Optional[Hashable]]
     k = len(keys)
     return [(o * k + p, ko, kp) for o, ko in enumerate(keys) if ko is not None
             for p, kp in enumerate(keys) if kp is not None]
-
-
-def full_rows_vanish(code: Code, tables: PairTables) -> bool:
-    """Whether `code` passes `kl_full` in exact mode, decided on the
-    integer rows of `PairTables.rows` without evaluating an element.
-
-    `tables` must hold `error_basis(code.d)`.  Each row is assembled into
-    its vector over the code's orbit pairs; it vanishes for these
-    amplitudes when, per radicand, its dot product with the products'
-    numerators is 0 (`_radicals`).
-    """
-    keys = _orbit_keys(code)
-    _, radicals = _radicals(code)
-    size = len(keys) ** 2
-    vectors: Dict[int, List[int]] = {}
-    for slot, ko, kp in _orbit_pairs(keys):
-        for row, x in tables.rows(ko, kp).items():
-            vector = vectors.get(row)
-            if vector is None:
-                vector = vectors[row] = [0] * size
-            vector[slot] = x
-    for vector in set(map(tuple, vectors.values())):
-        for _, numerators in radicals:
-            if sum(map(operator.mul, numerators, vector)):
-                return False
-    return True
 
 
 class _Gram:

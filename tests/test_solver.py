@@ -18,7 +18,7 @@ from quditcodes.combinatorics import (cyclic_shift, expand_orbit,
                                       support_is_sparse, tail_orbit)
 from quditcodes.solver import (build_qf_system, family_code, family_support,
                                passes_prefilter, search, solve_system)
-from quditcodes.verifier import PairTables, full_rows_vanish, kl_full
+from quditcodes.verifier import PairTables, flips_couple, kl_full
 
 from conftest import reports_identical
 
@@ -205,18 +205,20 @@ def test_every_solution_passes_validate(case):
 @example((3, 13, QUTRIT_SUPPORT), [Fraction(1)] * 4)
 @settings(max_examples=60, deadline=None)
 def test_rows_decide_full_on_sparse_supports(case, squares):
-    # The solved codes of the support, and one with drawn amplitudes
-    # sqrt(x) whose radicands mix, each decided both ways.
+    # On a solved ray, coupled flips decide `kl_full`.  On drawn positive
+    # amplitudes sqrt(x), whose radicands mix, only positivity is used:
+    # coupled flips make `kl_full` fail.
     d, N, support = case
     tables = PairTables(d, error_basis(d))
-    codes = [solution.code for solution in
-             solve_system(build_qf_system(d, N, support))]
-    codes.append(Code(d, N, N % d, tuple(
-        OrbitAmplitude(tail_orbit(rep).representative, RadicalSum.sqrt(x))
-        for rep, x in zip(support, squares))))
-    for code in codes:
-        assert full_rows_vanish(code, tables) == \
+    for solution in solve_system(build_qf_system(d, N, support)):
+        code = solution.code
+        assert flips_couple(code, tables) != \
             kl_full(code, _tables=tables).passed
+    drawn = Code(d, N, N % d, tuple(
+        OrbitAmplitude(tail_orbit(rep).representative, RadicalSum.sqrt(x))
+        for rep, x in zip(support, squares)))
+    if flips_couple(drawn, tables):
+        assert not kl_full(drawn, _tables=tables).passed
 
 
 def test_solver_drops_zero_coordinates():
@@ -513,9 +515,11 @@ def test_search_with_custom_verifier():
     assert tuple(sorted(QUTRIT_SUPPORT)) in supports
 
 
-@pytest.mark.parametrize("d, N, size", [(3, 16, 3), (5, 21, 3), (3, 13, 4)])
+@pytest.mark.parametrize("d, N, size", [(3, 16, 3), (5, 21, 3), (3, 13, 4),
+                                         (5, 17, 3)])
 def test_search_default_verify_matches_a_plain_full_check(d, N, size):
-    # The rows only reject: the default returns what `kl_full` alone does.
+    # The flip coupling only rejects: the default returns what `kl_full`
+    # alone does.  At (5, 17), N = 2 (mod 5), most solved codes are coupled.
     result = search(d, N, size)
     reference = search(d, N, size, verify=lambda code: kl_full(code).passed)
     assert result.codes and result.codes == reference.codes
@@ -589,6 +593,16 @@ def test_search_tables_give_the_reports_of_a_fresh_full_check(monkeypatch,
     for code, tables, report in calls:
         assert tables is not None
         assert reports_identical(report, kl_full(code))
+
+
+@pytest.mark.parametrize("d, N", [(3, 16), (5, 17)])
+def test_search_sends_only_passing_codes_to_the_full_check(monkeypatch, d, N):
+    # The flip coupling rejects every code that fails, so each `kl_full`
+    # the default `verify` makes passes.
+    calls = record_full_checks(monkeypatch)
+    result = search(d, N, 3)
+    assert calls and all(report.passed for _, _, report in calls)
+    assert {code for code, _, _ in calls} == set(result.codes)
 
 
 def test_search_drops_its_tables_when_it_returns(monkeypatch):

@@ -9,7 +9,7 @@ from quditcodes.combinatorics import (iter_support_representatives,
                                       support_is_sparse)
 from quditcodes.operators import basis_norm, error_basis
 from quditcodes.solver import build_qf_system, family_code, solve_system
-from quditcodes.verifier import (PairTables, full_rows_vanish, kl_full,
+from quditcodes.verifier import (PairTables, flips_couple, kl_full,
                                  kl_reduced, qf_check, run_level)
 
 from conftest import reports_identical
@@ -103,7 +103,7 @@ def test_shared_tables_keep_each_codes_own_report(corpus):
 
 
 # ---------------------------------------------------------------------------
-# amplitude-free rows of the full check
+# flip coupling, read off the pair tables
 
 
 def validated_solutions(d, N, size):
@@ -128,20 +128,20 @@ def test_rows_decide_full_on_every_validated_solution(d, N, size, total,
     codes = validated_solutions(d, N, size)
     verdicts = [kl_full(code, _tables=tables).passed for code in codes]
     assert (len(codes), sum(verdicts)) == (total, passing)
-    assert [full_rows_vanish(code, tables) for code in codes] == verdicts
+    assert [not flips_couple(code, tables) for code in codes] == verdicts
 
 
 def test_rows_decide_full_on_shipped_tampered_and_family_codes(corpus):
     codes = dict(corpus, tampered=tampered_qutrit(corpus["qutrit13"]))
     for d in (5, 7, 9):
         codes[f"family{d}"] = family_code(d)[0]
-    verdicts = {}
+    coupled = []
     for name, code in codes.items():
         tables = PairTables(code.d, error_basis(code.d))
-        verdicts[name] = full_rows_vanish(code, tables)
-        assert verdicts[name] == kl_full(code, max_n=128).passed, name
-    assert [name for name, ok in verdicts.items() if not ok] == \
-        ["qutrit13", "c4_d7_n20_eta6", "tampered"]
+        if flips_couple(code, tables):
+            coupled.append(name)
+        assert (name in coupled) != kl_full(code, max_n=128).passed, name
+    assert coupled == ["qutrit13", "c4_d7_n20_eta6", "tampered"]
 
 
 # ---------------------------------------------------------------------------
