@@ -18,19 +18,16 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum
-from .combinatorics import (OccupationVector, TailOrbit, check_occupation,
+from .combinatorics import (OccupationVector, basis_norm, check_occupation,
                             cyclic_shift, expand_orbit, is_eligible,
                             sparsity_violation, tail_orbit)
-from .operators import StateVector, basis_norm
+from .operators import StateVector
 
 
 @dataclass(frozen=True)
 class OrbitAmplitude:
     representative: OccupationVector
     amplitude: RadicalSum  # positive real
-
-    def orbit(self) -> TailOrbit:
-        return tail_orbit(self.representative)
 
 
 @dataclass(frozen=True)
@@ -157,8 +154,6 @@ def _amplitude_from_json(data: dict) -> RadicalSum:
         raise InvalidInputError(f"amplitude sign must be +-1, got {sign}")
     coeff = Fraction(*data["coeff"])
     radicand = Fraction(*data["radicand"])
-    if coeff == 0:
-        raise InvalidInputError("zero amplitude in code file")
     amp = RadicalSum.sqrt(radicand, sign * coeff)
     if amp.is_zero():
         raise InvalidInputError("zero amplitude in code file")

@@ -34,6 +34,18 @@ def check_occupation(u: Sequence[int], d: Optional[int] = None,
     return u
 
 
+@lru_cache(maxsize=65536)
+def basis_norm(u: OccupationVector) -> int:
+    """<S_u|S_u>: the multinomial coefficient of u, as an integer.
+
+    The library's one multinomial.  u must be a tuple, since the cache
+    hashes it.
+    """
+    if min(u, default=0) < 0:
+        raise InvalidInputError(f"negative count in {u}")
+    return math.factorial(sum(u)) // math.prod(map(math.factorial, u))
+
+
 def weight(u: Sequence[int]) -> int:
     """(sum_j j*u_j) mod d: the clock-operator eigenvalue exponent of |S_u>."""
     d = len(u)
@@ -67,14 +79,24 @@ def canonical_representative(u: Sequence[int]) -> OccupationVector:
     return (u[0],) + tuple(sorted(u[1:], reverse=True))
 
 
+def distinct_orbit_keys(reps: Sequence[Sequence[int]], owner: str
+                        ) -> List[OccupationVector]:
+    """The canonical representative of each of `reps`, refusing a list
+    (named by `owner`) that names one tail orbit twice."""
+    keys = [canonical_representative(tuple(rep)) for rep in reps]
+    for n, key in enumerate(keys):
+        m = keys.index(key)
+        if m != n:
+            raise InvalidInputError(
+                f"{owner} lists one tail orbit twice: {tuple(reps[m])} and "
+                f"{tuple(reps[n])} share the representative {key}")
+    return keys
+
+
 def tail_orbit(u: Sequence[int]) -> TailOrbit:
-    u = tuple(u)
-    rep = canonical_representative(u)
+    rep = canonical_representative(tuple(u))
     tail = rep[1:]
-    size = math.factorial(len(tail))
-    for m in set(tail):
-        size //= math.factorial(tail.count(m))
-    return TailOrbit(rep, size)
+    return TailOrbit(rep, basis_norm(tuple(map(tail.count, set(tail)))))
 
 
 def expand_orbit(rep: Sequence[int]) -> List[OccupationVector]:
@@ -124,6 +146,15 @@ def check_dimensions(d: int, N: int) -> None:
         raise InvalidInputError(f"dimension must be odd and >= 3, got {d}")
     if N < 1:
         raise InvalidInputError(f"need N >= 1, got {N}")
+
+
+def check_code_space(d: int, N: int) -> None:
+    """Refuse (d, N) that carries no code: beyond `check_dimensions`, the
+    residue N mod d labels the irrep and must be a unit mod d."""
+    check_dimensions(d, N)
+    if math.gcd(N % d, d) != 1:
+        raise InvalidInputError(
+            f"N={N} has residue {N % d} not coprime to d={d}")
 
 
 def iter_support_representatives(d: int, N: int) -> Iterator[OccupationVector]:

@@ -17,13 +17,11 @@ derived formula; the dense-tensor oracle validates it exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .arith import ExactComplex, InvalidInputError
-from .combinatorics import OccupationVector, cyclic_shift, weight
+from .combinatorics import OccupationVector, basis_norm, cyclic_shift, weight
 
 
 @dataclass(frozen=True)
@@ -155,18 +153,6 @@ def apply_logical_x(psi: StateVector, a: int) -> StateVector:
 def z_eigenexponent(u: OccupationVector) -> int:
     """Exponent m with clock-operator eigenvalue zeta_d**m on |S_u>."""
     return weight(u)
-
-
-@lru_cache(maxsize=65536)
-def basis_norm(u: OccupationVector) -> int:
-    """<S_u|S_u>: the multinomial coefficient of u, as an integer.
-
-    The library's one multinomial.  u must be a tuple, since the cache
-    hashes it.
-    """
-    if min(u, default=0) < 0:
-        raise InvalidInputError(f"negative count in {u}")
-    return math.factorial(sum(u)) // math.prod(map(math.factorial, u))
 
 
 def inner_product(phi: StateVector, psi: StateVector) -> ExactComplex:

@@ -28,9 +28,9 @@ basis_norm(u) strings, all carrying one packed value, so that
 sum_s conj(a_s) b_s over strings equals the engine's norm-weighted sum
 over classes.
 
-What is shared: `dense_kl` splits the class images by orbit and hands
-them to the verifier's `PairTables` and `_Gram`, the join and
-finalization `kl_full` uses.  The join itself is guarded in the tests by
+What is shared: `dense_kl` splits the class images by orbit, keys them
+as `kl_full` does (`combinatorics.distinct_orbit_keys`) in a `PairTables`,
+and hands that to `kl_full`.  The join itself is guarded in the tests by
 a naive evaluator built on `apply_generator` and `inner_product`, and
 `quditcodes oracle` compares `class_images` with `generator_action`.
 """
@@ -43,11 +43,12 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum
 from .codes import Code
-from .combinatorics import (OccupationVector, expand_orbit,
+from .combinatorics import (OccupationVector, basis_norm,
+                            distinct_orbit_keys, expand_orbit,
                             multiset_permutations)
 from .config import Config
-from .operators import ErrorOperator, StateVector, basis_norm, error_basis
-from .verifier import KLReport, PairTables, _Gram
+from .operators import ErrorOperator, StateVector, error_basis
+from .verifier import KLReport, PairTables, kl_full
 
 DEFAULT_TERM_CAP = Config.oracle_term_cap
 
@@ -293,11 +294,11 @@ def dense_kl(code: Code, term_cap: int = DEFAULT_TERM_CAP) -> KLReport:
     """Full matrix-element check from digit-string images, in exact mode.
 
     The error basis acts on the dense code words; each collapsed image is
-    split into one image per orbit, and those go through the same pair
-    tables and finalization as `kl_full`, so the reports can be compared
-    field by field.
+    split into one image per orbit, and `kl_full` decides them, so the
+    reports can be compared field by field.
     """
-    k = len(code.orbits)
+    keys = distinct_orbit_keys(code.support_representatives(), "code")
+    k = len(keys)
     words = dense_codewords(code, term_cap)
     basis = error_basis(code.d)
     images = [[] for _ in basis]   # images[a][i]: class -> slots, all orbits
@@ -309,9 +310,8 @@ def dense_kl(code: Code, term_cap: int = DEFAULT_TERM_CAP) -> KLReport:
         except CollapseError as exc:
             raise CollapseError(f"code word {i}: {exc}") from exc
     tables = PairTables(code.d, basis)
-    for o in range(k):
-        tables.add_images(o, [[{u: z[2 * o:2 * o + 2] for u, z in image.items()
-                                if z[2 * o] or z[2 * o + 1]}
-                               for image in row] for row in images])
-    return _Gram(code, "full", "exact", Config.float_tolerance, tables,
-                 range(k)).check_all_pairs()
+    for o, key in enumerate(keys):
+        tables.add_images(key, [[{u: z[2 * o:2 * o + 2] for u, z in image.items()
+                                  if z[2 * o] or z[2 * o + 1]}
+                                 for image in row] for row in images])
+    return kl_full(code, _tables=tables)

@@ -13,7 +13,6 @@ normalized, and a square root per orbit recovers the amplitudes.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,12 +21,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import InvalidInputError, RadicalSum
 from .codes import Code, OrbitAmplitude
-from .combinatorics import (OccupationVector, TailOrbit, check_dimensions,
-                            cyclic_shift, expand_orbit, is_eligible,
+from .combinatorics import (OccupationVector, TailOrbit, basis_norm,
+                            check_code_space, cyclic_shift,
+                            distinct_orbit_keys, expand_orbit, is_eligible,
                             iter_support_representatives, sparsity_violation,
                             support_is_sparse, tail_orbit)
 from .config import Config, check_scale
-from .operators import basis_norm, error_basis
+from .operators import error_basis
 from .verifier import PairTables, flips_couple, kl_full
 
 Row = Tuple[int, ...]
@@ -59,6 +59,7 @@ def build_qf_system(d: int, N: int,
     Row 2: squared phase difference, first code word minus last.
     Row 3: squared first dit flip, first code word minus last.
     """
+    check_code_space(d, N)
     if not support:
         raise InvalidInputError("support is empty")
     orbits = tuple(tail_orbit(tuple(int(x) for x in rep)) for rep in support)
@@ -67,12 +68,7 @@ def build_qf_system(d: int, N: int,
         if not is_eligible(rep, d, N):
             raise InvalidInputError(
                 f"support vector {rep} is not eligible at (d={d}, N={N})")
-    for n, rep in enumerate(reps):
-        m = reps.index(rep)
-        if m != n:
-            raise InvalidInputError(
-                f"support lists one tail orbit twice: {tuple(support[m])} "
-                f"and {tuple(support[n])} share the representative {rep}")
+    distinct_orbit_keys(support, "support")
     violation = sparsity_violation(reps)
     if violation is not None:
         raise InvalidInputError(f"support is not effectively sparse: {violation}")
@@ -283,12 +279,12 @@ def search(d: int, N: int, support_size: int,
     of pair tables shared by every code of this call.  A ray is fixed by its
     support, so larger subsets meet one code many times: `verify` is
     called once per distinct solved code.  `codes.validate` is not run:
-    the coprime refusal fixes the residue; `build_qf_system` eligibility,
+    `check_code_space` fixes the residue; `build_qf_system` eligibility,
     distinct orbits and sparsity; positive rays nonzero amplitudes; and
     sum size * xi = 1, amplitude**2 = xi / basis_norm the normalization.
     """
     check_scale(d, N, max_d, max_n)
-    check_dimensions(d, N)
+    check_code_space(d, N)
     if support_size < 2:
         raise InvalidInputError("support size must be at least 2")
     if max_candidates is not None and max_candidates < 1:
@@ -297,9 +293,6 @@ def search(d: int, N: int, support_size: int,
     if max_seconds is not None and not max_seconds > 0:
         raise InvalidInputError(
             f"max_seconds must be positive, got {max_seconds}")
-    if N % d == 0 or math.gcd(N % d, d) != 1:
-        raise InvalidInputError(
-            f"N={N} has residue {N % d} not coprime to d={d}")
     if verify is None:
         tables = PairTables(d, error_basis(d))
         verify = lambda code: (

@@ -27,10 +27,10 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum
 from .codes import Code, validate
-from .combinatorics import (OccupationVector, canonical_representative,
-                            cyclic_shift, expand_orbit)
+from .combinatorics import (OccupationVector, basis_norm, cyclic_shift,
+                            distinct_orbit_keys, expand_orbit)
 from .config import Config, check_mode, check_scale
-from .operators import ErrorOperator, basis_norm, error_basis, generator_action
+from .operators import ErrorOperator, error_basis, generator_action
 
 # Exact elements, or their complex values in float mode.
 Amplitude = Union[ExactComplex, complex]
@@ -231,15 +231,12 @@ def _join(left: OrbitIndex, right: OrbitIndex) -> PairTable:
     return table
 
 
-def _orbit_keys(code: Code) -> List[Optional[OccupationVector]]:
-    """Each orbit's canonical representative, or None for an orbit whose
-    members a later orbit of the code repeats: a code word gives a shared
-    vector the later orbit's amplitude (`codes.codeword_orbits`)."""
+def _orbit_keys(code: Code) -> List[OccupationVector]:
+    """Each orbit's canonical representative, its key in `PairTables`;
+    refuses a code that lists one tail orbit twice."""
     if not code.orbits:
         raise InvalidInputError("code has no support orbits")
-    keys = [canonical_representative(entry.representative)
-            for entry in code.orbits]
-    return [None if key in keys[o + 1:] else key for o, key in enumerate(keys)]
+    return distinct_orbit_keys(code.support_representatives(), "code")
 
 
 def _radicals(code: Code) -> Tuple[int, List[Tuple[int, List[int]]]]:
@@ -271,13 +268,12 @@ def _radicals(code: Code) -> Tuple[int, List[Tuple[int, List[int]]]]:
                                if any(row))
 
 
-def _orbit_pairs(keys: Sequence[Optional[Hashable]]
+def _orbit_pairs(keys: Sequence[Hashable]
                  ) -> List[Tuple[int, Hashable, Hashable]]:
-    """(o*k + p, keys[o], keys[p]) for the ordered orbit pairs that `keys`
-    does not leave out."""
+    """(o*k + p, keys[o], keys[p]) for every ordered orbit pair."""
     k = len(keys)
-    return [(o * k + p, ko, kp) for o, ko in enumerate(keys) if ko is not None
-            for p, kp in enumerate(keys) if kp is not None]
+    return [(o * k + p, ko, kp) for o, ko in enumerate(keys)
+            for p, kp in enumerate(keys)]
 
 
 class _Gram:
@@ -292,9 +288,8 @@ class _Gram:
     """
 
     def __init__(self, code: Code, level: str, mode: str, tolerance: float,
-                 tables: PairTables, keys: Sequence[Optional[Hashable]]):
-        """`keys[o]` names orbit o of the code in `tables`; None leaves it
-        out."""
+                 tables: PairTables):
+        keys = _orbit_keys(code)
         check_mode(mode, tolerance)
         d = self.d = tables.d
         self.n = len(tables.ops)
@@ -444,8 +439,7 @@ def kl_full(code: Code, mode: str = "exact",
     check_scale(code.d, code.N, max_d, max_n)
     if _tables is None:
         _tables = PairTables(code.d, error_basis(code.d))
-    return _Gram(code, "full", mode, tolerance, _tables,
-                 _orbit_keys(code)).check_all_pairs()
+    return _Gram(code, "full", mode, tolerance, _tables).check_all_pairs()
 
 
 def kl_reduced(code: Code, mode: str = "exact",
@@ -458,8 +452,7 @@ def kl_reduced(code: Code, mode: str = "exact",
     d = code.d
     basis = error_basis(d)
     index = {op: n for n, op in enumerate(basis)}
-    gram = _Gram(code, "reduced", mode, tolerance, PairTables(d, basis),
-                 _orbit_keys(code))
+    gram = _Gram(code, "reduced", mode, tolerance, PairTables(d, basis))
     identity, last = index[ErrorOperator("I")], index[ErrorOperator("D", d - 2)]
     off_diagonal = [(i, j) for i in range(d) for j in range(d) if i != j]
     for n in range(1, (d - 1) // 2 + 1):
@@ -488,8 +481,7 @@ def qf_check(code: Code, mode: str = "exact",
             f"effectively sparse orbit-keyed code; failed checks: {failed}")
     d = code.d
     ops = (ErrorOperator("I"), ErrorOperator("D", d - 2), ErrorOperator("S", 0, 1))
-    gram = _Gram(code, "qf", mode, tolerance, PairTables(d, ops),
-                 _orbit_keys(code))
+    gram = _Gram(code, "qf", mode, tolerance, PairTables(d, ops))
     identity, last, flip = range(3)
     corner = (d - 1, d - 1)
     gram.check(identity, last, [], ref=corner, vanish=True)

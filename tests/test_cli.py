@@ -10,6 +10,8 @@ from quditcodes import cli, solver
 from quditcodes.cli import main
 from quditcodes.codes import code_from_json
 
+from conftest import DUPLICATE_ORBIT_MESSAGE, duplicate_orbit_json
+
 
 def run(capsys, *argv):
     status = main(list(argv))
@@ -202,6 +204,35 @@ def test_solve_refuses_one_orbit_listed_twice(capsys):
                    "(4, 0, 9) share the representative (4, 9, 0)"}
 
 
+def test_solve_refuses_the_residues_search_refuses(capsys):
+    # N = 12 at d = 3 carries no code: solved, this support gives an
+    # eta = 0 code that fails `validate` and `kl_full`.  `orbits` keeps
+    # the wider domain of `check_dimensions`.
+    message = "N=12 has residue 0 not coprime to d=3"
+    for argv in (("solve", "--d", "3", "--N", "12", "--support", "0,6,6;6,6,0"),
+                 ("search", "--d", "3", "--N", "12", "--k", "3")):
+        status, payload = run(capsys, *argv)
+        assert status == 2
+        assert payload["error"] == {"type": "InvalidInputError",
+                                    "message": message}
+    status, payload = run(capsys, "orbits", "--d", "3", "--N", "12")
+    assert status == 0 and payload["count"] == 19
+
+
+@pytest.mark.parametrize("level", ["full", "reduced"])
+def test_check_refuses_a_code_that_lists_one_orbit_twice(tmp_path, capsys,
+                                                        level):
+    # Keyed by listing, this file would pass `full` on the later
+    # listing's amplitude.
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(duplicate_orbit_json()))
+    status, payload = run(capsys, "check", "--code", str(path),
+                          "--level", level)
+    assert status == 2
+    assert payload["error"] == {"type": "InvalidInputError",
+                                "message": DUPLICATE_ORBIT_MESSAGE}
+
+
 def test_branching_refuses_inputs_beyond_the_caps(capsys):
     status, payload = run(capsys, "branching", "--d", "5001", "--N", "20002")
     assert status == 2
@@ -210,7 +241,8 @@ def test_branching_refuses_inputs_beyond_the_caps(capsys):
 
 @pytest.mark.parametrize("d, N", [(0, 5), (1, 5), (4, 5), (3, 0), (3, -2)])
 def test_branching_refuses_inputs_outside_the_code_domain(capsys, d, N):
-    # The domain `orbits` and `solve` accept: odd d >= 3 and N >= 1.
+    # The domain of `check_dimensions`, which `orbits` accepts: odd d >= 3
+    # and N >= 1.  `solve` and `search` accept only its unit residues.
     status, payload = run(capsys, "branching", "--d", str(d), "--N", str(N))
     assert status == 2
     assert payload["error"]["type"] == "InvalidInputError"

@@ -18,6 +18,8 @@ from quditcodes.combinatorics import (canonical_representative, check_occupation
                                       tail_orbit, weight)
 from quditcodes.solver import build_qf_system
 
+from conftest import meet
+
 
 def occupations(d=3, max_total=15):
     return st.lists(st.integers(0, max_total), min_size=d, max_size=d).map(tuple)
@@ -246,3 +248,32 @@ def test_strict_sparsity_of_large_codes():
                     w = cyclic_shift(v, delta)
                     dist = sum(abs(a - b) for a, b in zip(u, w))
                     assert dist == 0 or dist > 4
+
+
+# ---------------------------------------------------------------------------
+# meets: members that a repeated flip S(j,k)**2 bridges under a relabeling
+
+
+def meeting_pairs(d, N):
+    """Ordered pairs (u, v) of members of eligible orbits that meet; u may
+    be v, meeting one of its own relabelings."""
+    members = [m for rep in iter_support_representatives(d, N)
+               for m in expand_orbit(rep)]
+    return sum(meet(u, v) for u in members for v in members)
+
+
+def test_no_eligible_members_meet_unless_n_is_plus_or_minus_2_mod_d():
+    # Tail entries are congruent to c and the head to N + c (mod d), so at a
+    # relabeling delta != 0 with d >= 5 a meet needs N = +-2 (mod d), and
+    # at delta = 0 every difference is a multiple of d.
+    cases = [(d, N) for d, top in ((5, 21), (7, 22), (9, 20))
+             for N in range(d + 1, top + 1)
+             if math.gcd(N % d, d) == 1 and N % d not in (2, d - 2)]
+    assert len(cases) == 21
+    assert [(d, N) for d, N in cases if meeting_pairs(d, N)] == []
+
+
+@pytest.mark.parametrize("d, N, pairs", [(5, 17, 221), (7, 23, 715),
+                                         (9, 20, 433)])
+def test_eligible_members_meet_when_n_is_plus_or_minus_2_mod_d(d, N, pairs):
+    assert meeting_pairs(d, N) == pairs

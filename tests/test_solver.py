@@ -20,7 +20,7 @@ from quditcodes.solver import (build_qf_system, family_code, family_support,
                                passes_prefilter, search, solve_system)
 from quditcodes.verifier import PairTables, flips_couple, kl_full
 
-from conftest import reports_identical
+from conftest import meet, reports_identical
 
 QUTRIT_SUPPORT = ((13, 0, 0), (4, 9, 0), (3, 5, 5))
 
@@ -78,6 +78,19 @@ def test_system_rejects_one_orbit_listed_twice(support, first, second, rep):
     assert str(excinfo.value) == (
         f"support lists one tail orbit twice: {first} and {second} "
         f"share the representative {rep}")
+
+
+@pytest.mark.parametrize("d, N, support, message", [
+    (5, 15, ((15, 0, 0, 0, 0),), "N=15 has residue 0 not coprime to d=5"),
+    (9, 12, ((12,) + (0,) * 8,), "N=12 has residue 3 not coprime to d=9"),
+    (4, 13, ((13, 0, 0, 0), (1, 4, 4, 4)),
+     "dimension must be odd and >= 3, got 4"),
+], ids=["d5-N15", "d9-N12", "d4-N13"])
+def test_system_rejects_dimensions_that_carry_no_code(d, N, support, message):
+    # Every vector is eligible: only the code-space rule refuses.
+    with pytest.raises(InvalidInputError) as excinfo:
+        build_qf_system(d, N, support)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("rep", [
@@ -207,16 +220,25 @@ def test_every_solution_passes_validate(case):
 def test_rows_decide_full_on_sparse_supports(case, squares):
     # On a solved ray, coupled flips decide `kl_full`.  On drawn positive
     # amplitudes sqrt(x), whose radicands mix, only positivity is used:
-    # coupled flips make `kl_full` fail.
+    # coupled flips make `kl_full` fail.  Flips couple exactly when two
+    # members of the code meet (`flips_couple`'s docstring).
     d, N, support = case
     tables = PairTables(d, error_basis(d))
+
+    def members_meet(code):
+        members = [m for rep in code.support_representatives()
+                   for m in expand_orbit(rep)]
+        return any(meet(u, v) for u in members for v in members)
+
     for solution in solve_system(build_qf_system(d, N, support)):
         code = solution.code
+        assert flips_couple(code, tables) == members_meet(code)
         assert flips_couple(code, tables) != \
             kl_full(code, _tables=tables).passed
     drawn = Code(d, N, N % d, tuple(
         OrbitAmplitude(tail_orbit(rep).representative, RadicalSum.sqrt(x))
         for rep, x in zip(support, squares)))
+    assert flips_couple(drawn, tables) == members_meet(drawn)
     if flips_couple(drawn, tables):
         assert not kl_full(drawn, _tables=tables).passed
 

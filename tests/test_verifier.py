@@ -4,15 +4,17 @@ from fractions import Fraction
 import pytest
 
 from quditcodes.arith import ExactComplex, InvalidInputError, RadicalSum
-from quditcodes.codes import Code, OrbitAmplitude, validate
+from quditcodes.codes import Code, OrbitAmplitude, code_from_json, validate
 from quditcodes.combinatorics import (iter_support_representatives,
                                       support_is_sparse)
 from quditcodes.operators import basis_norm, error_basis
+from quditcodes.oracle import dense_kl
 from quditcodes.solver import build_qf_system, family_code, solve_system
 from quditcodes.verifier import (PairTables, flips_couple, kl_full,
                                  kl_reduced, qf_check, run_level)
 
-from conftest import reports_identical
+from conftest import (DUPLICATE_ORBIT_MESSAGE, duplicate_orbit_json,
+                      reports_identical)
 
 
 def as_rational(value):
@@ -146,6 +148,15 @@ def test_rows_decide_full_on_shipped_tampered_and_family_codes(corpus):
 
 # ---------------------------------------------------------------------------
 # reduced check
+
+
+@pytest.mark.parametrize("check", [kl_full, kl_reduced, dense_kl])
+def test_checks_refuse_a_code_that_lists_one_orbit_twice(check):
+    # Keyed by listing, the code would pass `kl_full` on the later
+    # listing's amplitude.  `dense_kl` refuses before any dense work.
+    with pytest.raises(InvalidInputError) as excinfo:
+        check(code_from_json(duplicate_orbit_json()))
+    assert str(excinfo.value) == DUPLICATE_ORBIT_MESSAGE
 
 
 def test_reduced_check_agrees_with_full_on_corpus(corpus):

@@ -4,12 +4,14 @@
         --parent-commit REV --label LABEL --change "what changed"
 
 P and C are two checkouts (for example `git archive REV | tar -x -C P`).
-On each of the three workloads, pair n (seed n, 1..10) runs
-`perfbench/run.py --workload W --seed n --seconds 35 --trace 0` once in
-each checkout, alternating which side runs first, and reads the
-end-to-end metrics from the last stdout line of each run.  The medians,
-quartiles and per-pair wins of every metric go to `BENCH_<LABEL>.json` in
-the current directory.  The exit status is 1 when any run reported
+The workloads, the end-to-end metrics (name, better, bound) and the run
+length come from the BENCHMARK.json next to this script's directory.  On
+each workload, pair n (seed n, 1..10) runs `perfbench/run.py --workload W
+--seed n --seconds RUN_SECONDS --trace 0` once in each checkout,
+alternating which side runs first, and reads the end-to-end metrics from
+the last stdout line of each run.  The medians, quartiles, per-pair wins
+and bound of every metric go to `BENCH_<LABEL>.json` in the current
+directory.  The exit status is 1 when any run reported
 `correct: false` (the record is still written) or when a run exited
 non-zero (named by workload, seed and side; no record is written).
 """
@@ -23,12 +25,12 @@ import platform
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
-BETTER = {"wall_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower",
-          "elements_per_s": "higher", "ops_ok_ratio": "higher"}
+BENCHMARK = json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
 PAIRS = 10
-SECONDS = 35   # BENCHMARK.json's run_seconds, the same on both sides
-WORKLOADS = ("construct-verify", "search", "oracle")
+SECONDS = BENCHMARK["run_seconds"]   # the same on both sides
 COMMAND = (f"python3 perfbench/run.py --workload W --seed S "
            f"--seconds {SECONDS} --trace 0")
 
@@ -45,15 +47,16 @@ def run(checkout: str, workload: str, seed: int, side: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summary(better: str, parent: list, change: list) -> dict:
+def summary(metric: dict, parent: list, change: list) -> dict:
     def quartiles(runs):
         q = statistics.quantiles(runs, n=4, method="inclusive")
         return [round(q[0], 4), round(q[2], 4)]
 
+    better = metric["better"]
     p, c = statistics.median(parent), statistics.median(change)
     wins = sum((b < a) if better == "lower" else (b > a)
                for a, b in zip(parent, change))
-    return {"better": better, "parent_median": round(p, 4),
+    return {"better": better, "bound": metric["bound"], "parent_median": round(p, 4),
             "change_median": round(c, 4),
             "parent_quartiles": quartiles(parent),
             "change_quartiles": quartiles(change),
@@ -86,7 +89,7 @@ def main() -> int:
                          "reference-speed times"},
         "workloads": {}}
     wrong = []
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in BENCHMARK["workloads"]):
         runs = {"parent": [], "change": []}
         for seed in range(1, PAIRS + 1):
             sides = ["parent", "change"] if seed % 2 else ["change", "parent"]
@@ -102,10 +105,10 @@ def main() -> int:
             "pairs": PAIRS,
             "all_correct": all(r["correct"] for side in runs.values()
                                for r in side),
-            "metrics": {name: summary(better, *([r["metrics"][name]["value"]
-                                                 for r in runs[side]]
-                                                for side in runs))
-                        for name, better in BETTER.items()}}
+            "metrics": {metric["name"]: summary(
+                metric, *([r["metrics"][metric["name"]]["value"]
+                           for r in runs[side]] for side in runs))
+                for metric in BENCHMARK["end_to_end"]}}
     with open(f"BENCH_{args.label}.json", "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
