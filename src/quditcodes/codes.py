@@ -19,8 +19,8 @@ from typing import Dict, Tuple
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum
 from .combinatorics import (OccupationVector, basis_norm, check_occupation,
-                            cyclic_shift, expand_orbit, is_eligible,
-                            sparsity_violation, tail_orbit)
+                            cyclic_shift, distinct_orbit_keys, expand_orbit,
+                            is_eligible, sparsity_violation, tail_orbit)
 from .operators import StateVector
 
 
@@ -58,12 +58,12 @@ class ValidationReport:
 
 def codeword_orbits(code: Code, k: int) -> Dict[OccupationVector, int]:
     """The support of |k-bar>: each occupation vector mapped to the index of
-    the orbit whose amplitude it carries."""
-    if not code.orbits:
-        raise InvalidInputError("code has no support orbits")
+    the orbit whose amplitude it carries.  Refuses an empty code and one
+    that lists a tail orbit twice, whose members would carry the later
+    listing's amplitude."""
+    keys = distinct_orbit_keys(code.support_representatives(), "code")
     return {cyclic_shift(member, k): o
-            for o, entry in enumerate(code.orbits)
-            for member in expand_orbit(entry.representative)}
+            for o, key in enumerate(keys) for member in expand_orbit(key)}
 
 
 def codeword(code: Code, k: int) -> StateVector:

@@ -81,8 +81,14 @@ def canonical_representative(u: Sequence[int]) -> OccupationVector:
 
 def distinct_orbit_keys(reps: Sequence[Sequence[int]], owner: str
                         ) -> List[OccupationVector]:
-    """The canonical representative of each of `reps`, refusing a list
-    (named by `owner`) that names one tail orbit twice."""
+    """The canonical representative of each of `reps`, the key every
+    reader of an orbit list uses.
+
+    Refuses an empty list ("<owner> is empty") and a list that names one
+    tail orbit twice, so that no caller keeps its own copy of either rule.
+    """
+    if not reps:
+        raise InvalidInputError(f"{owner} is empty")
     keys = [canonical_representative(tuple(rep)) for rep in reps]
     for n, key in enumerate(keys):
         m = keys.index(key)
@@ -158,17 +164,17 @@ def check_code_space(d: int, N: int) -> None:
 
 
 def iter_support_representatives(d: int, N: int) -> Iterator[OccupationVector]:
-    """The vectors `is_eligible` accepts, in lexicographic order."""
+    """The vectors `is_eligible` accepts, in lexicographic order.
+
+    Each non-increasing tail with entries congruent to c (mod d) gets the
+    head that completes the sum N.  No weight filter is needed: the head
+    sits at symbol 0, so the weight is c * (1 + ... + d-1) = c * d(d-1)/2
+    mod d, which is 0 because `check_dimensions` makes d odd.
+    """
     check_dimensions(d, N)
-    reps = []
-    for residue in range(d):
-        for tail in _nonincreasing_tails(d - 1, N, residue, d, upper=N):
-            head = N - sum(tail)
-            u = (head,) + tail
-            if weight(u) == 0:
-                reps.append(u)
-    reps.sort()
-    yield from reps
+    yield from sorted((N - sum(tail),) + tail for residue in range(d)
+                      for tail in _nonincreasing_tails(d - 1, N, residue, d,
+                                                       upper=N))
 
 
 def _nonincreasing_tails(length: int, budget: int, residue: int, modulus: int,

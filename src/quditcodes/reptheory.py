@@ -41,20 +41,15 @@ def branching_multiplicity(d: int, N: int, eta: int) -> int:
 
     The character inner product collapses to a single delta: summing
     zeta**(l(N - eta)) over a full period gives d when N and eta are
-    congruent and 0 otherwise, leaving dim/d or 0.
+    congruent and 0 otherwise, leaving dim/d or 0.  d divides dim because
+    N * C(N+d-1, N) = d * C(N+d-1, d) and gcd(N, d) = 1.
     """
-    if math.gcd(eta % d, d) != 1:
-        raise InvalidInputError(f"eta={eta} is not a unit mod d={d}")
     if math.gcd(N, d) != 1:
         raise InvalidInputError(
             f"branching requires gcd(N, d) = 1, got N={N}, d={d}")
-    if N % d != eta % d:
+    if not is_valid_code_space(d, N, eta):
         return 0
-    dim = sym_dim(d, N)
-    if dim % d:
-        raise InvalidInputError(
-            f"dimension {dim} not divisible by d={d}")  # cannot happen for units
-    return dim // d
+    return sym_dim(d, N) // d
 
 
 def is_valid_code_space(d: int, N: int, eta: int) -> bool:

@@ -60,8 +60,6 @@ def build_qf_system(d: int, N: int,
     Row 3: squared first dit flip, first code word minus last.
     """
     check_code_space(d, N)
-    if not support:
-        raise InvalidInputError("support is empty")
     orbits = tuple(tail_orbit(tuple(int(x) for x in rep)) for rep in support)
     reps = [o.representative for o in orbits]
     for rep in reps:

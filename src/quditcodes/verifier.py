@@ -188,7 +188,8 @@ def flips_couple(code: Code, tables: PairTables) -> bool:
     d, n = tables.d, len(tables.ops)
     flips = [a for a, op in enumerate(tables.ops) if op.kind in ("I", "S")]
     pairs = {a * n + b for a in flips for b in flips}
-    for _, ko, kp in _orbit_pairs(_orbit_keys(code)):
+    keys = distinct_orbit_keys(code.support_representatives(), "code")
+    for _, ko, kp in _orbit_pairs(keys):
         for key in tables.pair(ko, kp):
             pair, cell = divmod(key, d * d)
             if pair in pairs and cell // d != cell % d:
@@ -229,14 +230,6 @@ def _join(left: OrbitIndex, right: OrbitIndex) -> PairTable:
                     acc[0] += re
                     acc[1] += im
     return table
-
-
-def _orbit_keys(code: Code) -> List[OccupationVector]:
-    """Each orbit's canonical representative, its key in `PairTables`;
-    refuses a code that lists one tail orbit twice."""
-    if not code.orbits:
-        raise InvalidInputError("code has no support orbits")
-    return distinct_orbit_keys(code.support_representatives(), "code")
 
 
 def _radicals(code: Code) -> Tuple[int, List[Tuple[int, List[int]]]]:
@@ -289,7 +282,7 @@ class _Gram:
 
     def __init__(self, code: Code, level: str, mode: str, tolerance: float,
                  tables: PairTables):
-        keys = _orbit_keys(code)
+        keys = distinct_orbit_keys(code.support_representatives(), "code")
         check_mode(mode, tolerance)
         d = self.d = tables.d
         self.n = len(tables.ops)
@@ -353,11 +346,10 @@ class _Gram:
             self.report.arithmetic_zeros += 1
         return known
 
-    def _agrees(self, sid: int, zero: bool, cid: Optional[int],
-                constant_zero: bool) -> bool:
-        """Whether value - constant is zero, for an element with a sums id
-        and a constant given by its sums id (None for a structural zero)
-        and their zero verdicts."""
+    def _agrees(self, sid: int, zero: bool, cid: Optional[int]) -> bool:
+        """Whether value - constant is zero, for an element given by its
+        sums id and zero verdict and a constant given by its sums id (None
+        for a structural zero)."""
         if sid == cid:
             return True
         if cid is None:
@@ -409,7 +401,7 @@ class _Gram:
                 continue
             value, zero = self._value(sid)
             if i == j:
-                zero = self._agrees(sid, zero, cid, constant_zero)
+                zero = self._agrees(sid, zero, cid)
             if not zero:
                 report.violations.append(Violation(*name, i, j, value))
 

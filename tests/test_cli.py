@@ -248,6 +248,15 @@ def test_branching_refuses_inputs_outside_the_code_domain(capsys, d, N):
     assert payload["error"]["type"] == "InvalidInputError"
 
 
+def test_branching_names_the_particle_number_it_refuses(capsys):
+    # eta defaults from N, so the refusal names N, not an eta never given.
+    status, payload = run(capsys, "branching", "--d", "9", "--N", "6")
+    assert status == 2
+    assert payload["error"] == {
+        "type": "InvalidInputError",
+        "message": "branching requires gcd(N, d) = 1, got N=6, d=9"}
+
+
 def test_family_reads_only_the_d_cap(tmp_path, capsys):
     # N = (d-1)**2 follows from d, so max_n does not apply.
     path = tmp_path / "config.json"

@@ -12,7 +12,8 @@ from quditcodes.combinatorics import (cyclic_shift, expand_orbit,
 from quditcodes.operators import inner_product
 from quditcodes.solver import build_qf_system
 
-from conftest import shipped_code
+from conftest import (DUPLICATE_ORBIT_MESSAGE, duplicate_orbit_json,
+                      shipped_code)
 
 
 def test_shipped_codes_load(corpus):
@@ -106,6 +107,16 @@ def test_codeword_k_is_relabeled_zero_word(corpus):
 
 def test_codeword_rejects_empty_code():
     with pytest.raises(InvalidInputError):
+        codeword(Code(3, 13, 1, ()), 0)
+
+
+def test_codeword_refuses_what_the_checks_refuse():
+    # Keyed by listing, the repeated orbit's members would silently carry
+    # the later listing's amplitude.
+    with pytest.raises(InvalidInputError) as excinfo:
+        codeword(code_from_json(duplicate_orbit_json()), 0)
+    assert str(excinfo.value) == DUPLICATE_ORBIT_MESSAGE
+    with pytest.raises(InvalidInputError, match="^code is empty$"):
         codeword(Code(3, 13, 1, ()), 0)
 
 

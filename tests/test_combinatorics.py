@@ -112,13 +112,14 @@ def brute_force_representatives(d, N):
     return sorted(reps)
 
 
-@pytest.mark.parametrize("d, N", [(3, 13), (3, 7), (5, 6), (5, 16)])
+@pytest.mark.parametrize("d, N", [(3, 13), (3, 7), (5, 6), (5, 16), (7, 6),
+                                  (9, 4)])
 def test_representatives_match_brute_force(d, N):
     assert list(iter_support_representatives(d, N)) == \
         brute_force_representatives(d, N)
 
 
-@pytest.mark.parametrize("d, N", [(3, 13), (3, 7), (5, 6), (5, 16)])
+@pytest.mark.parametrize("d, N", [(3, 13), (3, 7), (5, 6), (5, 16), (7, 5)])
 def test_eligible_vectors_are_the_enumerated_representatives(d, N):
     eligible = [u for u in itertools.product(range(N + 1), repeat=d)
                 if is_eligible(u, d, N)]

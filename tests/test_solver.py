@@ -212,7 +212,8 @@ def test_every_solution_passes_validate(case):
         assert report.passed, (support, report.checks)
 
 
-@given(sparse_supports(shapes=((3, 13), (3, 16), (5, 16), (5, 21))),
+@given(sparse_supports(shapes=((3, 13), (3, 16), (5, 16), (5, 21), (5, 17),
+                                (5, 22), (7, 30), (9, 29))),
        st.lists(st.fractions(min_value=Fraction(1, 50), max_value=1,
                              max_denominator=50), min_size=4, max_size=4))
 @example((3, 13, QUTRIT_SUPPORT), [Fraction(1)] * 4)
@@ -221,7 +222,8 @@ def test_rows_decide_full_on_sparse_supports(case, squares):
     # On a solved ray, coupled flips decide `kl_full`.  On drawn positive
     # amplitudes sqrt(x), whose radicands mix, only positivity is used:
     # coupled flips make `kl_full` fail.  Flips couple exactly when two
-    # members of the code meet (`flips_couple`'s docstring).
+    # members of the code meet (`flips_couple`'s docstring).  The shapes
+    # hold both residue classes: members meet only at N = +-2 (mod d).
     d, N, support = case
     tables = PairTables(d, error_basis(d))
 
