@@ -24,8 +24,8 @@ from .codes import Code, OrbitAmplitude
 from .combinatorics import (OccupationVector, TailOrbit, basis_norm,
                             check_code_space, cyclic_shift,
                             distinct_orbit_keys, expand_orbit, is_eligible,
-                            iter_support_representatives, sparsity_violation,
-                            support_is_sparse, tail_orbit)
+                            iter_support_representatives, orbits_compatible,
+                            sparsity_violation, support_is_sparse, tail_orbit)
 from .config import Config, check_scale
 from .operators import error_basis
 from .verifier import PairTables, flips_couple, kl_full
@@ -60,23 +60,33 @@ def build_qf_system(d: int, N: int,
     Row 3: squared first dit flip, first code word minus last.
     """
     check_code_space(d, N)
-    orbits = tuple(tail_orbit(tuple(int(x) for x in rep)) for rep in support)
-    reps = [o.representative for o in orbits]
-    for rep in reps:
-        if not is_eligible(rep, d, N):
-            raise InvalidInputError(
-                f"support vector {rep} is not eligible at (d={d}, N={N})")
+    entries = [_qf_entry(tuple(map(int, rep)), d, N) for rep in support]
+    for orbit, column in entries:
+        if column is None:
+            raise InvalidInputError(f"support vector {orbit.representative} "
+                                    f"is not eligible at (d={d}, N={N})")
     distinct_orbit_keys(support, "support")
-    violation = sparsity_violation(reps)
+    orbits = tuple(orbit for orbit, _ in entries)
+    violation = sparsity_violation([o.representative for o in orbits])
     if violation is not None:
         raise InvalidInputError(f"support is not effectively sparse: {violation}")
-    columns = [_qf_column(rep) for rep in reps]
-    rows = tuple(tuple(column[n] for column in columns) for n in range(3))
+    rows = tuple(tuple(column[n] for _, column in entries) for n in range(3))
     normalization = tuple(o.size for o in orbits)
     return QFSystem(d, N, orbits, rows, normalization)
 
 
 @lru_cache(maxsize=4096)
+def _qf_entry(u: OccupationVector, d: int, N: int
+              ) -> Tuple[TailOrbit, Optional[Tuple[int, int, int]]]:
+    """The tail orbit of u and, when its representative is eligible at
+    (d, N), its `_qf_column` (else None): what `build_qf_system` needs of
+    one support vector, built once per process, however many supports
+    `search` puts it in."""
+    orbit = tail_orbit(u)
+    rep = orbit.representative
+    return orbit, _qf_column(rep) if is_eligible(rep, d, N) else None
+
+
 def _qf_column(rep: OccupationVector) -> Tuple[int, int, int]:
     """One orbit's entries in the three rows of `build_qf_system`.
 
@@ -269,6 +279,12 @@ def search(d: int, N: int, support_size: int,
     """Stream effectively-sparse supports of the given size, solve each,
     and keep solutions that pass full verification.
 
+    A support holding an orbit that is not sparse against itself is never
+    sparse, so such representatives are dropped before the subsets are
+    enumerated.  The remaining stream is the unpruned one with only
+    rejected subsets removed: the same supports are tried, in the same
+    order.  `max_seconds` starts before that prune, and the clock is read
+    once per representative the prune tests and once per subset visited.
     (d, N) must lie within the caps `max_d` and `max_n`.  `verify` takes a
     Code and returns bool, and its verdict alone decides acceptance; the
     default rejects a code whose flips couple two code words
@@ -299,11 +315,17 @@ def search(d: int, N: int, support_size: int,
 
     reps = list(iter_support_representatives(d, N))
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    candidates = []
+    for rep in reps:
+        if deadline is not None and time.monotonic() > deadline:
+            return SearchResult([], 0, False)
+        if orbits_compatible(rep, rep):
+            candidates.append(rep)
     codes: List[Code] = []
     verdicts: Dict[Code, bool] = {}
     tried = 0
     exhausted = True
-    for subset in itertools.combinations(reps, support_size):
+    for subset in itertools.combinations(candidates, support_size):
         if max_candidates is not None and tried >= max_candidates:
             exhausted = False
             break

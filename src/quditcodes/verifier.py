@@ -22,6 +22,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -133,6 +134,7 @@ class PairTables:
     keyed by canonical representative and built from `generator_action` on
     first use, unless `add_images` supplied them; `search` keeps one
     instance for the length of a call, every other caller one per check.
+    Beside each table, `flips_couple` keeps its flip-coupling verdict.
     """
 
     def __init__(self, d: int, ops: Sequence[ErrorOperator]):
@@ -141,6 +143,7 @@ class PairTables:
         self.names = [op.name() for op in self.ops]
         self._indexes: Dict[Hashable, OrbitIndex] = {}
         self._tables: Dict[Tuple[Hashable, Hashable], PairTable] = {}
+        self._couples: Dict[Tuple[Hashable, Hashable], bool] = {}
 
     def add_images(self, key: Hashable,
                    images: Sequence[Sequence[OrbitImage]]) -> None:
@@ -172,6 +175,25 @@ class PairTables:
                                                  self._index(p))
         return table
 
+    def flips_couple(self, o: Hashable, p: Hashable) -> bool:
+        """Whether the pair table of (o, p) holds an off-diagonal cell
+        (i != j) for two operators from {I, S(j,k)}; each table is scanned
+        once, whichever codes share it."""
+        verdict = self._couples.get((o, p))
+        if verdict is None:
+            d, flips = self.d, self._flip_pairs
+            verdict = self._couples[(o, p)] = any(
+                key // (d * d) in flips and key // d % d != key % d
+                for key in self.pair(o, p))
+        return verdict
+
+    @cached_property
+    def _flip_pairs(self) -> frozenset:
+        """a * len(ops) + b for every two operators a, b from {I, S(j,k)}."""
+        n = len(self.ops)
+        flips = [a for a, op in enumerate(self.ops) if op.kind in ("I", "S")]
+        return frozenset(a * n + b for a in flips for b in flips)
+
 
 def flips_couple(code: Code, tables: PairTables) -> bool:
     """Whether one of the code's ordered orbit-pair tables holds an
@@ -183,18 +205,11 @@ def flips_couple(code: Code, tables: PairTables) -> bool:
     it cannot vanish.  `tables` must hold `error_basis(code.d)`.  On an
     effectively sparse support such a cell exists exactly when two members
     meet at the {+2, -2} pattern under a relabeling
-    (`combinatorics.is_effectively_sparse`).
+    (`combinatorics.is_effectively_sparse`).  Each of the k*k tables gives
+    its verdict from `PairTables.flips_couple`, which scans it only once.
     """
-    d, n = tables.d, len(tables.ops)
-    flips = [a for a, op in enumerate(tables.ops) if op.kind in ("I", "S")]
-    pairs = {a * n + b for a in flips for b in flips}
     keys = distinct_orbit_keys(code.support_representatives(), "code")
-    for _, ko, kp in _orbit_pairs(keys):
-        for key in tables.pair(ko, kp):
-            pair, cell = divmod(key, d * d)
-            if pair in pairs and cell // d != cell % d:
-                return True
-    return False
+    return any(tables.flips_couple(ko, kp) for _, ko, kp in _orbit_pairs(keys))
 
 
 def _orbit_image(op: ErrorOperator, members: Sequence[OccupationVector]

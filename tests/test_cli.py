@@ -302,7 +302,7 @@ def test_search_rejects_inputs_outside_its_caps(tmp_path, capsys, config,
 
 def test_search_reports_a_stop_at_its_time_budget(capsys, monkeypatch):
     # Each reading of the clock is one second later: the budget runs out
-    # after two visited subsets.
+    # after the self-compatibility prune has tested two representatives.
     ticks = itertools.count()
     monkeypatch.setattr(solver.time, "monotonic", lambda: next(ticks))
     status, payload = run(capsys, "search", "--d", "3", "--N", "13",

@@ -8,14 +8,15 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quditcodes import solver
+from quditcodes import combinatorics, solver
 from quditcodes.arith import InvalidInputError, RadicalSum
 from quditcodes.codes import Code, OrbitAmplitude, validate
 from quditcodes.operators import basis_norm, error_basis
 from quditcodes.combinatorics import (cyclic_shift, expand_orbit,
                                       is_effectively_sparse,
                                       iter_support_representatives,
-                                      support_is_sparse, tail_orbit)
+                                      orbits_compatible, support_is_sparse,
+                                      tail_orbit)
 from quditcodes.solver import (build_qf_system, family_code, family_support,
                                passes_prefilter, search, solve_system)
 from quditcodes.verifier import PairTables, flips_couple, kl_full
@@ -101,6 +102,31 @@ def test_system_rejects_dimensions_that_carry_no_code(d, N, support, message):
 def test_system_rejects_ineligible_vectors(rep):
     with pytest.raises(InvalidInputError, match="not eligible"):
         build_qf_system(3, 13, ((13, 0, 0), rep))
+
+
+@pytest.mark.parametrize("d, N, support, message", [
+    (3, 13, ((1, 12, 0), (4, 9, 0), (4, 0, 9), (12, 0, 1)),
+     "support vector (12, 1, 0) is not eligible at (d=3, N=13)"),
+    (3, 13, ((1, 12, 0), (4, 9, 0), (4, 0, 9)),
+     "support lists one tail orbit twice: (4, 9, 0) and (4, 0, 9) share "
+     "the representative (4, 9, 0)"),
+    (3, 13, ((13, 0, 0), (1, 12, 0)),
+     "support is not effectively sparse: SparsityViolation(u=(13, 0, 0), "
+     "v=(1, 0, 12), delta=2, distance=2, pattern=(-1, 1))"),
+    (3, 16, ((13, 0, 0), (16, 0, 0)),
+     "support vector (13, 0, 0) is not eligible at (d=3, N=16)"),
+], ids=["ineligible-first", "repeat-before-sparsity", "not-sparse",
+        "eligible-at-another-N"])
+def test_system_refusals_come_in_order(d, N, support, message):
+    # Every support vector's entry (orbit, eligibility, column) is built
+    # once per (vector, d, N); the refusals still come in order: an
+    # ineligible vector, then a repeated orbit, then a sparsity witness.
+    # (13, 0, 0) is eligible at (3, 13), which the earlier cases cached.
+    build_qf_system(3, 13, ((13, 0, 0), (4, 9, 0)))
+    for _ in range(2):
+        with pytest.raises(InvalidInputError) as excinfo:
+            build_qf_system(d, N, support)
+        assert str(excinfo.value) == message
 
 
 @st.composite
@@ -498,11 +524,7 @@ def test_search_respects_candidate_cap():
 def test_search_candidates_are_the_member_wise_funnel(monkeypatch):
     # The pair table must hand the solver the same supports, in the same
     # order, as expanding members and testing every subset.
-    solved = []
-    build = solver.build_qf_system
-    monkeypatch.setattr(solver, "build_qf_system",
-                        lambda d, N, support: solved.append(support)
-                        or build(d, N, support))
+    solved = record_solved_supports(monkeypatch)
     for d, N in ((3, 13), (5, 16)):
         solved.clear()
         result = search(d, N, 3, verify=lambda code: False)
@@ -518,13 +540,78 @@ def test_search_candidates_are_the_member_wise_funnel(monkeypatch):
 
 def test_search_stops_at_its_time_budget(monkeypatch):
     # Each reading of the clock is one second later, so a 2.5 s budget
-    # runs out at the third subset visited.  The first two are not sparse:
-    # reading the clock only for tried candidates would try two.
+    # runs out at the third representative the self-compatibility prune
+    # tests, before any subset is visited.
     ticks = itertools.count()
     monkeypatch.setattr(solver.time, "monotonic", lambda: next(ticks))
     result = search(3, 13, 3, max_seconds=2.5)
     assert not result.exhausted
     assert result.candidates_tried == 0 and result.codes == []
+
+
+def test_search_reads_the_clock_for_every_subset_it_visits(monkeypatch):
+    # The prune reads the clock once per representative (21 at (3, 13)),
+    # then the subset loop once per subset visited, rejected ones too: a
+    # budget of 21 + 10.5 ticks outlasts the prune and stops the loop at
+    # its eleventh subset.  Two of the first ten are solved; reading the
+    # clock only for tried candidates would let more through.
+    reps = list(iter_support_representatives(3, 13))
+    pruned = [r for r in reps if orbits_compatible(r, r)]
+    visited = list(itertools.islice(itertools.combinations(pruned, 3), 10))
+    expected = sum(support_is_sparse(s) and passes_prefilter(s)
+                   for s in visited)
+    assert (len(reps), expected) == (21, 2)
+    ticks = itertools.count()
+    monkeypatch.setattr(solver.time, "monotonic", lambda: next(ticks))
+    result = search(3, 13, 3, max_seconds=len(reps) + 10.5,
+                    verify=lambda code: False)
+    assert not result.exhausted
+    assert result.candidates_tried == expected and result.codes == []
+
+
+def record_solved_supports(monkeypatch):
+    """Route solver.build_qf_system through a wrapper that appends each
+    support it is given."""
+    solved = []
+    build = solver.build_qf_system
+    monkeypatch.setattr(solver, "build_qf_system",
+                        lambda d, N, support: solved.append(support)
+                        or build(d, N, support))
+    return solved
+
+
+@pytest.mark.parametrize("d, N", [(5, 21), (7, 27), (9, 29)])
+def test_search_pruned_stream_is_the_unpruned_funnel(monkeypatch, d, N):
+    # Dropping the orbits that fail against themselves removes only
+    # subsets the funnel rejects: the same supports reach the solver, in
+    # the same order.
+    expected = [subset for subset in itertools.combinations(
+                    iter_support_representatives(d, N), 3)
+                if support_is_sparse(subset) and passes_prefilter(subset)]
+    solved = record_solved_supports(monkeypatch)
+    result = search(d, N, 3, verify=lambda code: False)
+    assert solved == expected
+    assert result.candidates_tried == len(expected)
+
+
+@pytest.mark.parametrize("d, N, passing", [(5, 21, 11), (7, 27, 9)])
+def test_search_asks_no_pair_of_an_orbit_that_fails_against_itself(
+        monkeypatch, d, N, passing):
+    # Such an orbit is asked about once, against itself, and then dropped.
+    reps = list(iter_support_representatives(d, N))
+    failing = {r for r in reps if not orbits_compatible(r, r)}
+    assert len(reps) - len(failing) == passing
+    asked = []
+    check = combinatorics.orbits_compatible
+
+    def recording(r, s):
+        asked.append((r, s))
+        return check(r, s)
+    monkeypatch.setattr(combinatorics, "orbits_compatible", recording)
+    monkeypatch.setattr(solver, "orbits_compatible", recording)
+    search(d, N, 3)
+    assert failing <= {r for r, s in asked if r == s}
+    assert [(r, s) for r, s in asked if r != s and {r, s} & failing] == []
 
 
 def test_search_rejects_nonpositive_time_budget():

@@ -133,6 +133,30 @@ def test_rows_decide_full_on_every_validated_solution(d, N, size, total,
     assert [not flips_couple(code, tables) for code in codes] == verdicts
 
 
+@pytest.mark.parametrize("d, N, coupled", [(3, 16, 241), (5, 17, 25)])
+def test_pair_flip_verdicts_match_a_rescan_of_the_table(d, N, coupled):
+    # `flips_couple` reads one verdict per ordered pair table, decided the
+    # first time the table is asked about; each must be what a scan of the
+    # table's keys ((a*n + b)*d + i)*d + j gives.
+    tables = PairTables(d, error_basis(d))
+    n = len(tables.ops)
+    flips = {a for a, op in enumerate(tables.ops) if op.kind in ("I", "S")}
+
+    def rescan(o, p):
+        for key in tables.pair(o, p):
+            rest, j = divmod(key, d)
+            pair, i = divmod(rest, d)
+            a, b = divmod(pair, n)
+            if a in flips and b in flips and i != j:
+                return True
+        return False
+    reps = list(iter_support_representatives(d, N))
+    verdicts = [tables.flips_couple(o, p) for o in reps for p in reps]
+    assert verdicts == [rescan(o, p) for o in reps for p in reps]
+    assert verdicts == [tables.flips_couple(o, p) for o in reps for p in reps]
+    assert sum(verdicts) == coupled
+
+
 def test_rows_decide_full_on_shipped_tampered_and_family_codes(corpus):
     codes = dict(corpus, tampered=tampered_qutrit(corpus["qutrit13"]))
     for d in (5, 7, 9):
