@@ -121,7 +121,7 @@ def test_system_refusals_come_in_order(d, N, support, message):
     # Every support vector's entry (orbit, eligibility, column) is built
     # once per (vector, d, N); the refusals still come in order: an
     # ineligible vector, then a repeated orbit, then a sparsity witness.
-    # (13, 0, 0) is eligible at (3, 13), which the earlier cases cached.
+    # The first call caches (13, 0, 0) as eligible at (3, 13).
     build_qf_system(3, 13, ((13, 0, 0), (4, 9, 0)))
     for _ in range(2):
         with pytest.raises(InvalidInputError) as excinfo:
