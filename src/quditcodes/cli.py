@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from importlib import resources
@@ -121,7 +122,12 @@ def cmd_search(args, config: Config) -> int:
 def cmd_oracle(args, config: Config) -> int:
     """Differential test on random basis vectors |S_u>, all generators
     each: a collapsed dense image must equal the dict of (re, im) Gaussian
-    integers that `generator_action` gives."""
+    integers that `generator_action` gives.
+
+    Each distinct u is checked once, at its first draw; a repeat draw is
+    skipped, and the draws stop once every composition of N into d parts
+    has been checked.  The checks are deterministic, so neither changes the
+    verdict or the witness (the first failing draw)."""
     check_scale(args.d, args.N, config.max_d, config.max_n)
     if args.d < 2 or args.N < 1 or args.trials < 1:
         raise InvalidInputError(
@@ -129,9 +135,16 @@ def cmd_oracle(args, config: Config) -> int:
             f"got d={args.d}, N={args.N}, trials={args.trials}")
     rng = random.Random(args.seed)
     basis = [op for op in error_basis(args.d) if op.kind != "I"]
+    compositions = math.comb(args.N + args.d - 1, args.d - 1)
+    checked = set()
     for _ in range(args.trials):
+        if len(checked) == compositions:
+            break
         cuts = sorted(rng.randint(0, args.N) for _ in range(args.d - 1))
         u = tuple(b - a for a, b in zip([0] + cuts, cuts + [args.N]))
+        if u in checked:
+            continue
+        checked.add(u)
         dense_u = dense_symmetric_vector(u, term_cap=config.oracle_term_cap)
         images = class_images(basis, dense_u, args.d, 2,
                               config.oracle_term_cap)

@@ -15,6 +15,14 @@ of every digit string by `dense_apply`, and code words and their
 relabelings are built string by string.  Nothing here calls
 `operators.generator_action`.
 
+`dense_apply` sweeps the sites in C rather than looping over strings in
+Python.  The strings that share a packed value are joined into one bytes
+object and translated to a 0/1 mask per column c; at site p,
+`compress(keys, mask[p::N])` picks the strings (read as base-256
+numerals) with digit c there, and adding one step moves them all.  One
+`Counter` per added value counts the moves that land on each target, and
+a target's value is its count times that added value.
+
 Images are shared by pattern (`class_images`).  On the part of a state
 that lies in one occupation class u, an off-diagonal operator on digits
 {j, k} sends its column-j moves to class u - e_j + e_k and its column-k
@@ -38,7 +46,8 @@ a naive evaluator built on `apply_generator` and `inner_product`, and
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import repeat
+from functools import cache
+from itertools import chain, compress, repeat
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum
@@ -120,6 +129,13 @@ def _site_matrix(op: ErrorOperator) -> Dict[int, Tuple[int, int]]:
     raise InvalidInputError(f"no site matrix for {op.name()}")
 
 
+@cache
+def _column_table(c: int) -> bytes:
+    """The `bytes.translate` table that maps digit c to 1 and every other
+    byte to 0."""
+    return bytes(x == c for x in range(256))
+
+
 def dense_apply(op: ErrorOperator, state: DenseState,
                 term_cap: int = DEFAULT_TERM_CAP) -> DenseState:
     """Sum of the single-site matrix of op applied at each of the N sites.
@@ -128,43 +144,59 @@ def dense_apply(op: ErrorOperator, state: DenseState,
     output slot is a sum of at most N input slots: |out| <= N * max|in|.
     The call raises before adding anything when that bound leaves the slot
     range.
+
+    The strings are swept one (value, column, site) at a time, not one
+    string at a time (see the module docstring).
     """
     if op.kind == "I" or not state:
         return state
     matrix = _site_matrix(op)
-    values = set(state.values())
     N = len(next(iter(state)))
-    peak = max((abs(s) for v in values for s in unpack(v)), default=0)
+    groups: Dict[int, List[DigitString]] = defaultdict(list)
+    for string, v in state.items():
+        groups[v].append(string)
+    peak = max((abs(s) for v in groups for s in unpack(v)), default=0)
     if N * peak >= _HALF:
         raise InvalidInputError(
             f"slots up to {N} * {peak} do not fit {SLOT_BITS} bits")
     # Per distinct input value, what each column digit adds: i**phase * value.
-    adds = {v: [pack(_rotate(unpack(v), matrix[c][1])) if c in matrix else 0
-                for c in range(max(matrix) + 1)] for v in values}
+    adds = {v: {c: pack(_rotate(unpack(v), phase))
+                for c, (_, phase) in matrix.items()} for v in groups}
     out: DenseState = {}
     if all(row == col for col, (row, _) in matrix.items()):
         # Diagonal: the sites with digit c add adds[c] to the string itself.
-        for string, v in state.items():
-            add = adds[v]
-            total = sum(string.count(c) * add[c] for c in matrix)
-            if total:
-                out[string] = total
+        for v, strings in groups.items():
+            columns = [map(add.__mul__, map(bytes.count, strings, repeat(c)))
+                       for c, add in adds[v].items()]
+            totals = list(map(sum, zip(*columns)))
+            out.update(compress(zip(strings, totals), totals))
     else:
         # Read as a base-256 numeral, a string turns digit c at site p into
-        # row r by adding steps[p][c] = (r - c) * 256**(N - 1 - p).
-        steps: List[List[int | None]] = [[None] * 256 for _ in range(N)]
-        for p in range(N):
-            for col, (row, _) in matrix.items():
-                steps[p][col] = (row - col) << 8 * (N - 1 - p)
-        numerals: Dict[int, int] = defaultdict(int)
-        for string, v in state.items():
-            add = adds[v]
-            key = int.from_bytes(string, "big")
-            for step, digit in zip(steps, string):
-                delta = step[digit]
-                if delta is not None:
-                    numerals[key + delta] += add[digit]
-        out = {k.to_bytes(N, "big"): v for k, v in numerals.items() if v}
+        # row r by adding (r - c) * 256**(N - 1 - p).  counts[a][t]: how
+        # many (string, site) moves that add a land on the numeral t.
+        steps = {col: [(row - col) << 8 * (N - 1 - p) for p in range(N)]
+                 for col, (row, _) in matrix.items()}
+        counts: Dict[int, Counter] = defaultdict(Counter)
+        for v, strings in groups.items():
+            keys = list(map(int.from_bytes, strings, repeat("big")))
+            joined = b"".join(strings)
+            for col, add in adds[v].items():
+                if not add or col not in joined:
+                    continue
+                mask = joined.translate(_column_table(col))
+                # Built eagerly: each map binds this column's step and mask.
+                moves = [map(step.__add__, compress(keys, mask[p::N]))
+                         for p, step in enumerate(steps[col])]
+                counts[add].update(chain.from_iterable(moves))
+        numerals: Dict[int, int] = {}
+        for add, counter in counts.items():
+            weighted = dict(zip(counter, map(add.__mul__, counter.values())))
+            for t in weighted.keys() & numerals.keys():
+                weighted[t] += numerals[t]
+            numerals.update(weighted)
+        values = list(numerals.values())
+        out = dict(compress(zip(map(int.to_bytes, numerals, repeat(N),
+                                    repeat("big")), values), values))
     if len(out) > term_cap:
         raise InvalidInputError(f"dense apply exceeded term cap {term_cap}")
     return out

@@ -1,7 +1,10 @@
 import functools
 import itertools
 import json
+import math
 import operator
+import random
+import types
 from importlib import resources
 
 import pytest
@@ -403,6 +406,77 @@ def test_oracle_reports_the_first_image_with_wrong_values(capsys,
     assert status == 1
     assert payload == {"pass": False, "witness": {"u": list(u),
                                                   "operator": "S(0,3)"}}
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts its draws, and fails past 10,000 of them
+    rather than let a run that never stops hang the suite."""
+    draws = 0
+
+    def randint(self, a, b):
+        CountingRandom.draws += 1
+        assert CountingRandom.draws <= 10_000, "the draws do not stop"
+        return super().randint(a, b)
+
+
+def replayed_draws(d, N, trials, seed):
+    """The basis vectors `quditcodes oracle` draws, in draw order."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(trials):
+        cuts = sorted(rng.randint(0, N) for _ in range(d - 1))
+        draws.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [N])))
+    return draws
+
+
+def record_checked(monkeypatch, d):
+    """Replace cli.class_images by a wrapper that records the class of
+    each state it is handed."""
+    checked = []
+    honest = cli.class_images
+
+    def recording(ops, state, *args):
+        checked.append(tuple(map(next(iter(state)).count, range(d))))
+        return honest(ops, state, *args)
+
+    monkeypatch.setattr(cli, "class_images", recording)
+    monkeypatch.setattr(cli, "random",
+                        types.SimpleNamespace(Random=CountingRandom))
+    CountingRandom.draws = 0
+    return checked
+
+
+@pytest.mark.parametrize("d, N, seed", [(5, 5, 3), (7, 4, 9), (3, 9, 2)])
+def test_oracle_checks_each_drawn_vector_once(capsys, monkeypatch, d, N,
+                                              seed):
+    # A repeat draw is skipped; the draws themselves are unchanged.
+    checked = record_checked(monkeypatch, d)
+    status, payload = run(capsys, "oracle", "--d", str(d), "--N", str(N),
+                          "--trials", "100", "--seed", str(seed))
+    assert status == 0 and payload["pass"] and payload["trials"] == 100
+    draws = replayed_draws(d, N, 100, seed)
+    assert len(set(draws)) < len(draws)
+    assert checked == list(dict.fromkeys(draws))
+    assert CountingRandom.draws == 100 * (d - 1)
+
+
+@pytest.mark.parametrize("d, N, trials, seed", [(2, 1, 10 ** 9, 0),
+                                                (3, 2, 200, 4)])
+def test_oracle_stops_once_every_vector_is_checked(capsys, monkeypatch, d, N,
+                                                   trials, seed):
+    # C(N + d - 1, d - 1) compositions: the draws stop at the one that
+    # completes them, and the output still names the trials asked for.
+    checked = record_checked(monkeypatch, d)
+    status, payload = run(capsys, "oracle", "--d", str(d), "--N", str(N),
+                          "--trials", str(trials), "--seed", str(seed))
+    assert status == 0 and payload == {"pass": True, "d": d, "N": N,
+                                       "trials": trials,
+                                       "generators": d * d - 1}
+    draws = replayed_draws(d, N, 100, seed)
+    total = math.comb(N + d - 1, d - 1)
+    last = next(n for n in range(1, 101) if len(set(draws[:n])) == total)
+    assert checked == list(dict.fromkeys(draws[:last]))
+    assert CountingRandom.draws == last * (d - 1)
 
 
 def sorted_keys(pairs):

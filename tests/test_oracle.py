@@ -271,6 +271,55 @@ def test_dense_apply_refuses_slots_past_the_bound():
             dense_apply(bad, {string: pack((0, 0, -(safe + 1), 0))})
 
 
+def times_i(slots, power):
+    """i**power times each (re, im) slot pair."""
+    for _ in range(power):
+        slots = tuple(x for re, im in zip(slots[::2], slots[1::2])
+                      for x in (-im, re))
+    return slots
+
+
+def naive_apply(op, state):
+    """The site matrix of op applied at one site at a time: each string
+    with digit c at site p sends i**phase times its value to the string
+    with that site replaced, by slicing, by the row digit."""
+    if op.kind == "I":
+        return state
+    matrix = oracle._site_matrix(op)
+    out = {}
+    for string, value in state.items():
+        for p, digit in enumerate(string):
+            if digit in matrix:
+                row, phase = matrix[digit]
+                target = string[:p] + bytes([row]) + string[p + 1:]
+                out[target] = out.get(target, 0) + pack(
+                    times_i(unpack(value, 8), phase))
+    return {s: v for s, v in out.items() if v}
+
+
+def test_dense_apply_matches_a_site_by_site_reference():
+    # Random states with a few distinct signed multi-slot values, one of
+    # them the negative of another so that images cancel: every operator
+    # kind, including A with its two added values i*v and -i*v.
+    rng = random.Random(20)
+    for d in range(2, 8):
+        for N in range(1, 10):
+            for _ in range(2):
+                first = pack([rng.randint(-99, 99)
+                              for _ in range(rng.randint(1, 8))])
+                values = [first, -first] + [
+                    pack([rng.randint(-99, 99)
+                          for _ in range(rng.randint(1, 8))])
+                    for _ in range(2)]
+                state = {bytes(rng.randrange(d) for _ in range(N)):
+                         rng.choice(values)
+                         for _ in range(rng.randint(1, 3 * d * N))}
+                state = {s: v for s, v in state.items() if v}
+                for op in error_basis(d):
+                    assert dense_apply(op, state) == naive_apply(op, state), \
+                        (d, N, op.name())
+
+
 # ---------------------------------------------------------------------------
 # a naive evaluator, so that the shared join does not certify itself
 
