@@ -181,7 +181,7 @@ def dense_apply(op: ErrorOperator, state: DenseState,
             keys = list(map(int.from_bytes, strings, repeat("big")))
             joined = b"".join(strings)
             for col, add in adds[v].items():
-                if not add or col not in joined:
+                if col not in joined:
                     continue
                 mask = joined.translate(_column_table(col))
                 # Built eagerly: each map binds this column's step and mask.

@@ -431,7 +431,7 @@ def replayed_draws(d, N, trials, seed):
 
 def record_checked(monkeypatch, d):
     """Replace cli.class_images by a wrapper that records the class of
-    each state it is handed."""
+    each state it is handed, and cli's random.Random by CountingRandom."""
     checked = []
     honest = cli.class_images
 
