@@ -70,10 +70,6 @@ class TailOrbit:
     representative: OccupationVector
     size: int
 
-    @property
-    def d(self) -> int:
-        return len(self.representative)
-
 
 def canonical_representative(u: Sequence[int]) -> OccupationVector:
     return (u[0],) + tuple(sorted(u[1:], reverse=True))

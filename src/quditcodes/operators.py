@@ -128,14 +128,18 @@ def generator_action(op: ErrorOperator, u: OccupationVector
     return terms
 
 
+def _check_fits(op: ErrorOperator, d: int) -> None:
+    if op.kind not in ("S", "A", "D"):
+        raise InvalidInputError(f"unknown operator kind {op.kind!r}")
+    if max(op.j, op.k) >= d:
+        raise InvalidInputError(f"operator {op.name()} does not fit d={d}")
+
+
 def apply_generator(op: ErrorOperator, psi: StateVector) -> StateVector:
     """Apply one error-basis element to a state, term by term."""
     if op.kind == "I":
         return psi
-    if op.kind not in ("S", "A", "D"):
-        raise InvalidInputError(f"unknown operator kind {op.kind!r}")
-    if max(op.j, op.k) >= psi.d:
-        raise InvalidInputError(f"operator {op.name()} does not fit d={psi.d}")
+    _check_fits(op, psi.d)
     out: Dict[OccupationVector, ExactComplex] = {}
     for u, amp in psi.terms.items():
         for v, re, im in generator_action(op, u):
@@ -183,78 +187,61 @@ def check_conjugation_identity(d: int, N: int, identity: str,
                                basis_vectors: Iterable[OccupationVector],
                                indices: Optional[Tuple[int, int]] = None
                                ) -> Tuple[bool, Optional[dict]]:
-    """Verify one conjugation identity on the given basis vectors.
+    """Verify one conjugation identity on the given basis vectors, exactly,
+    on the (v, re, im) terms of `generator_action`.
 
     The shift identities state that conjugating S(j,k), A(j,k), or D(l) by
-    the logical shift decrements every index mod d; they are checked
-    exactly.  The clock identity mixes S and A with the real and imaginary
-    parts of a d-th root of unity; it is checked by exact phase-exponent
-    bookkeeping on each branch (and numerically in the float tests).
+    the logical shift decrements every index mod d: the action on
+    cyclic_shift(u, 1), shifted back by -1, must equal the decremented
+    operator's action on u.  The clock identity multiplies the term of
+    S(j,k)|S_u> that gains at j by zeta**(k-j) and the other by
+    zeta**(j-k): each term's weight drop from u must be that exponent.
     """
     if identity not in CONJUGATION_IDENTITIES:
         raise InvalidInputError(f"unknown identity {identity!r}")
     for u in basis_vectors:
         u = tuple(u)
-        psi = StateVector.basis(u)
-        if identity in ("x_dagger_s_x", "x_dagger_a_x"):
-            kind = "S" if identity == "x_dagger_s_x" else "A"
-            j, k = indices if indices else (1, 2)
-            lhs = apply_logical_x(
-                apply_generator(ErrorOperator(kind, j, k), apply_logical_x(psi, 1)), -1)
-            rhs = apply_generator(
-                ErrorOperator(kind, *_sorted_pair((j - 1) % d, (k - 1) % d)), psi)
-            # A(k,j) = -A(j,k): account for the index sort.
-            if kind == "A" and _pair_flipped((j - 1) % d, (k - 1) % d):
-                rhs = rhs.scaled(-1)
-            if not _states_equal(lhs, rhs):
-                return False, {"u": u, "identity": identity}
-        elif identity == "x_dagger_d_x":
+        if identity == "z_dagger_s_z":
+            j, k = indices if indices else (0, 1)
+            for v, _, _ in generator_action(ErrorOperator("S", j, k), u):
+                expected = (k - j if v[j] > u[j] else j - k) % len(u)
+                if (weight(u) - weight(v)) % len(u) != expected:
+                    return False, {"u": u, "branch": v,
+                                   "expected_exponent": expected}
+            continue
+        if identity == "x_dagger_d_x":
             l = indices[0] if indices else 1
             if l == 0:
                 raise InvalidInputError("shifted phase index leaves the basis range")
-            lhs = apply_logical_x(
-                apply_generator(ErrorOperator("D", l), apply_logical_x(psi, 1)), -1)
-            rhs = apply_generator(ErrorOperator("D", l - 1), psi)
-            if not _states_equal(lhs, rhs):
-                return False, {"u": u, "identity": identity}
-        else:  # z_dagger_s_z
-            j, k = indices if indices else (0, 1)
-            ok, witness = _check_clock_conjugation(u, j, k)
-            if not ok:
-                return False, witness
+            op = ErrorOperator("D", l)
+        else:
+            j, k = indices if indices else (1, 2)
+            op = ErrorOperator("S" if identity == "x_dagger_s_x" else "A", j, k)
+        lhs = _summed(op, cyclic_shift(u, 1), shift=-1)
+        image, sign = _decremented(op, d)
+        if lhs != _summed(image, u, sign):
+            return False, {"u": u, "identity": identity}
     return True, None
 
 
-def _sorted_pair(a: int, b: int) -> Tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+def _decremented(op: ErrorOperator, d: int) -> Tuple[ErrorOperator, int]:
+    """X^dagger op X as (operator, sign): every index decremented, mod d for
+    a pair, whose sort negates A since A(k,j) = -A(j,k)."""
+    if op.kind == "D":
+        return ErrorOperator("D", op.j - 1), 1
+    a, b = (op.j - 1) % d, (op.k - 1) % d
+    return (ErrorOperator(op.kind, min(a, b), max(a, b)),
+            -1 if op.kind == "A" and a > b else 1)
 
 
-def _pair_flipped(a: int, b: int) -> bool:
-    return a > b
-
-
-def _states_equal(a: StateVector, b: StateVector) -> bool:
-    if set(a.terms) != set(b.terms):
-        return False
-    return all((a.terms[u] - b.terms[u]).is_zero() for u in a.terms)
-
-
-def _check_clock_conjugation(u: OccupationVector, j: int, k: int
-                             ) -> Tuple[bool, Optional[dict]]:
-    """Exact exponent form of the clock conjugation of a dit flip.
-
-    Conjugating S(j,k) by the logical clock multiplies the branch that
-    moves a count from k to j by zeta**(k-j) and the reverse branch by
-    zeta**(j-k).  Equivalently the branch phase exponent equals the weight
-    drop from input to output, which is what we verify.
-    """
-    d = len(u)
-    w_in = weight(u)
-    v = _bump(u, j, k)
-    w = _bump(u, k, j)
-    for out, expected in ((v, (k - j) % d), ((w), (j - k) % d)):
-        if out is None:
-            continue
-        if (w_in - weight(out)) % d != expected:
-            return False, {"u": u, "branch": out, "expected_exponent": expected}
-    return True, None
+def _summed(op: ErrorOperator, u: OccupationVector, sign: int = 1,
+            shift: int = 0) -> Dict[OccupationVector, Tuple[int, int]]:
+    """sign * op|S_u>, relabeled by cyclic_shift(., shift), as a dict of
+    nonzero Gaussian integers (re, im) summed over equal targets."""
+    _check_fits(op, len(u))
+    out: Dict[OccupationVector, Tuple[int, int]] = {}
+    for v, re, im in generator_action(op, u):
+        v = cyclic_shift(v, shift)
+        a, b = out.get(v, (0, 0))
+        out[v] = (a + sign * re, b + sign * im)
+    return {v: z for v, z in out.items() if z != (0, 0)}

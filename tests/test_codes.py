@@ -78,6 +78,16 @@ def test_validate_catches_bad_support():
     assert not validate(Code(3, 13, 1, ())).checks["support"]
 
 
+def test_validate_names_a_zero_amplitude():
+    good = shipped_code("qutrit13")
+    rep = good.orbits[1].representative
+    orbits = (good.orbits[0], OrbitAmplitude(rep, RadicalSum.zero()),
+              good.orbits[2])
+    report = validate(Code(3, 13, 1, orbits))
+    assert not report.checks["support"]
+    assert report.witnesses["support"] == ("zero amplitude", rep)
+
+
 def test_codewords_are_normalized(corpus):
     for name in ("qutrit13", "c2_d5_n16"):
         code = corpus[name]

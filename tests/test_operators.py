@@ -4,7 +4,8 @@ import random
 import pytest
 
 from quditcodes.arith import ExactComplex, InvalidInputError
-from quditcodes.combinatorics import weight
+from quditcodes.combinatorics import cyclic_shift, weight
+import quditcodes.operators as operators
 from quditcodes.operators import (CONJUGATION_IDENTITIES, ErrorOperator,
                                   StateVector, apply_generator, apply_logical_x,
                                   check_conjugation_identity, error_basis,
@@ -176,3 +177,47 @@ def test_conjugation_identities_on_random_vectors(identity):
 def test_unknown_identity_rejected():
     with pytest.raises(InvalidInputError):
         check_conjugation_identity(3, 4, "nonsense", [(2, 1, 1)])
+
+
+def test_clock_identity_reads_generator_action(monkeypatch):
+    # Negative control: at d >= 5, the S(j,k) term that moves a count from
+    # j to k lands on a relabeled vector.  The clock check must see it.
+    honest = operators.generator_action
+
+    def relabeled(op, u):
+        return [(cyclic_shift(v, 1) if op.kind == "S" and len(u) >= 5
+                 and v[op.k] > u[op.k] else v, re, im)
+                for v, re, im in honest(op, u)]
+
+    vectors = random_occupations(random.Random(7), 5, 7, 100)
+    monkeypatch.setattr(operators, "generator_action", relabeled)
+    ok, witness = check_conjugation_identity(5, 7, "z_dagger_s_z", vectors,
+                                             (1, 3))
+    assert not ok
+    assert set(witness) == {"u", "branch", "expected_exponent"}
+    u = next(v for v in vectors if v[1] > 0)
+    assert witness == {"u": u, "expected_exponent": (1 - 3) % 5,
+                       "branch": cyclic_shift(
+                           (u[0], u[1] - 1, u[2], u[3] + 1, u[4]), 1)}
+    monkeypatch.undo()
+    assert check_conjugation_identity(5, 7, "z_dagger_s_z", vectors,
+                                      (1, 3)) == (True, None)
+
+    # The refusals, each raised per vector: an operator that does not fit
+    # len(u) (not the d argument), a phase index that leaves the basis
+    # range, and an unknown identity.
+    with pytest.raises(InvalidInputError,
+                       match=r"^operator S\(1,5\) does not fit d=5$"):
+        check_conjugation_identity(7, 7, "x_dagger_s_x", vectors, (1, 5))
+    with pytest.raises(InvalidInputError,
+                       match="^shifted phase index leaves the basis range$"):
+        check_conjugation_identity(5, 7, "x_dagger_d_x", vectors, (0, 0))
+    with pytest.raises(InvalidInputError,
+                       match="^unknown identity 'nonsense'$"):
+        check_conjugation_identity(5, 7, "nonsense", vectors)
+    for identity, indices in (("x_dagger_s_x", (1, 5)),
+                              ("x_dagger_a_x", (1, 5)),
+                              ("x_dagger_d_x", (0, 0)),
+                              ("z_dagger_s_z", (1, 3))):
+        assert check_conjugation_identity(5, 7, identity, [],
+                                          indices) == (True, None)

@@ -10,10 +10,11 @@ from quditcodes.codes import Code, OrbitAmplitude, codeword, codeword_orbits
 from quditcodes.combinatorics import canonical_representative
 from quditcodes.operators import (ErrorOperator, StateVector, apply_generator,
                                   basis_norm, error_basis, inner_product)
-from quditcodes.oracle import (SLOT_BITS, class_images, collapse,
-                               dense_apply, dense_codewords, dense_kl,
-                               dense_relabel, dense_symmetric_vector,
-                               occupation_of, pack, states_agree, unpack)
+from quditcodes.oracle import (SLOT_BITS, CollapseError, class_images,
+                               collapse, dense_apply, dense_codewords,
+                               dense_kl, dense_relabel,
+                               dense_symmetric_vector, occupation_of, pack,
+                               states_agree, unpack)
 import quditcodes.oracle as oracle
 from quditcodes.verifier import kl_full
 
@@ -226,6 +227,20 @@ def test_collapse_rejects_a_changed_or_missing_string(monkeypatch):
             dense_kl(code)
     monkeypatch.setattr(oracle, "dense_apply", honest)
     assert reports_identical(dense_kl(code), kl_full(code))
+
+
+def test_collapse_refuses_a_value_wider_than_width():
+    state = {bytes(1): pack((1, 0, 2))}
+    assert collapse(state, 3, 3) == {(1, 0, 0): (1, 0, 2)}
+    with pytest.raises(CollapseError,
+                       match=r"^class \(1, 0, 0\) has more than 2 slots$"):
+        collapse(state, 3, 2)
+
+
+def test_dense_apply_refuses_an_operator_without_a_site_matrix():
+    with pytest.raises(InvalidInputError,
+                       match=r"^no site matrix for X\(0,1\)$"):
+        dense_apply(ErrorOperator("X", 0, 1), dense_symmetric_vector((1, 1, 0)))
 
 
 def test_pack_round_trips_signed_slots():
