@@ -129,9 +129,12 @@ def generator_action(op: ErrorOperator, u: OccupationVector
 
 
 def _check_fits(op: ErrorOperator, d: int) -> None:
+    """Refuse an operator whose action reads a count outside u[0..d-1]:
+    D(l) reads u[l] and u[l+1], and S(j,k) and A(j,k) read u[j] and u[k]."""
     if op.kind not in ("S", "A", "D"):
         raise InvalidInputError(f"unknown operator kind {op.kind!r}")
-    if max(op.j, op.k) >= d:
+    read = (op.j, op.j + 1) if op.kind == "D" else (op.j, op.k)
+    if min(read) < 0 or max(read) >= d:
         raise InvalidInputError(f"operator {op.name()} does not fit d={d}")
 
 
@@ -203,7 +206,9 @@ def check_conjugation_identity(d: int, N: int, identity: str,
         u = tuple(u)
         if identity == "z_dagger_s_z":
             j, k = indices if indices else (0, 1)
-            for v, _, _ in generator_action(ErrorOperator("S", j, k), u):
+            op = ErrorOperator("S", j, k)
+            _check_fits(op, len(u))
+            for v, _, _ in generator_action(op, u):
                 expected = (k - j if v[j] > u[j] else j - k) % len(u)
                 if (weight(u) - weight(v)) % len(u) != expected:
                     return False, {"u": u, "branch": v,

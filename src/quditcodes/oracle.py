@@ -21,7 +21,19 @@ object and translated to a 0/1 mask per column c; at site p,
 `compress(keys, mask[p::N])` picks the strings (read as base-256
 numerals) with digit c there, and adding one step moves them all.  One
 `Counter` per added value counts the moves that land on each target, and
-a target's value is its count times that added value.
+a target's value is its count times that added value.  When every move
+adds one value, as S(j,k) does on a state of one value, that counter's
+weighted targets are the image with no merge.
+
+Digits are counted the same way (`_digit_counts`), for all strings at
+once.  The N site slices mask[p::N] of digit c's mask, read as
+little-endian integers, add up to one byte lane per string that holds
+its count of c: a lane holds up to 255 sites without a carry, which
+covers every N the caps admit, and longer strings are counted in blocks
+of 255 sites.  The occupation classes (`collapse`, the class split of
+`class_images`) and the diagonal D(l) path of `dense_apply` read these
+counts, and `class_images` counts its input state once, for the split
+and for the identity's collapse alike.
 
 Images are shared by pattern (`class_images`).  On the part of a state
 that lies in one occupation class u, an off-diagonal operator on digits
@@ -48,7 +60,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from functools import cache
 from itertools import chain, compress, repeat
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum
 from .codes import Code
@@ -136,6 +148,42 @@ def _column_table(c: int) -> bytes:
     return bytes(x == c for x in range(256))
 
 
+class CollapseError(ValueError):
+    """A dense image that is not one vector per occupation class, or a
+    state whose strings differ in length."""
+
+
+_LANE = 255   # the most sites one byte lane counts without a carry
+
+
+def _digit_counts(strings: Sequence[DigitString],
+                  digits: Iterable[int]) -> List[Sequence[int]]:
+    """For each digit c, its count in every string, in string order.
+
+    The strings are joined and translated to a 0/1 mask per digit; the
+    site slices mask[p::N], read as little-endian integers, add up to one
+    byte lane per string (see the module docstring).  Raises
+    CollapseError when the strings differ in length.
+    """
+    lengths = set(map(len, strings))
+    if len(lengths) > 1:
+        raise CollapseError(f"strings of lengths {sorted(lengths)} in one "
+                            "state")
+    N = lengths.pop() if lengths else 0
+    joined = b"".join(strings)
+    out = []
+    for c in digits:
+        mask = joined.translate(_column_table(c))
+        counts: Sequence[int] = bytes(len(strings))
+        for first in range(0, N, _LANE):
+            lanes = sum(int.from_bytes(mask[p::N], "little")
+                        for p in range(first, min(N, first + _LANE)))
+            block = lanes.to_bytes(len(strings), "little")
+            counts = list(map(int.__add__, counts, block)) if first else block
+        out.append(counts)
+    return out
+
+
 def dense_apply(op: ErrorOperator, state: DenseState,
                 term_cap: int = DEFAULT_TERM_CAP) -> DenseState:
     """Sum of the single-site matrix of op applied at each of the N sites.
@@ -166,8 +214,8 @@ def dense_apply(op: ErrorOperator, state: DenseState,
     if all(row == col for col, (row, _) in matrix.items()):
         # Diagonal: the sites with digit c add adds[c] to the string itself.
         for v, strings in groups.items():
-            columns = [map(add.__mul__, map(bytes.count, strings, repeat(c)))
-                       for c, add in adds[v].items()]
+            columns = [map(add.__mul__, count) for add, count in
+                       zip(adds[v].values(), _digit_counts(strings, adds[v]))]
             totals = list(map(sum, zip(*columns)))
             out.update(compress(zip(strings, totals), totals))
     else:
@@ -191,6 +239,9 @@ def dense_apply(op: ErrorOperator, state: DenseState,
         numerals: Dict[int, int] = {}
         for add, counter in counts.items():
             weighted = dict(zip(counter, map(add.__mul__, counter.values())))
+            if not numerals:   # the first added value needs no merge
+                numerals = weighted
+                continue
             for t in weighted.keys() & numerals.keys():
                 weighted[t] += numerals[t]
             numerals.update(weighted)
@@ -221,13 +272,10 @@ def dense_codewords(code: Code,
             for k in range(code.d)]
 
 
-class CollapseError(ValueError):
-    """A dense image that is not one vector per occupation class."""
-
-
-def _occupations(state: DenseState, d: int) -> Iterator[OccupationVector]:
-    """occupation_of every string of a state, counted digit by digit."""
-    return zip(*(map(bytes.count, state, repeat(c)) for c in range(d)))
+def _occupations(state: DenseState, d: int) -> List[OccupationVector]:
+    """occupation_of every string of a state, in order, from the lane
+    counts of `_digit_counts`."""
+    return list(zip(*_digit_counts(list(state), range(d))))
 
 
 def collapse(state: DenseState, d: int, width: int) -> ClassImage:
@@ -235,11 +283,17 @@ def collapse(state: DenseState, d: int, width: int) -> ClassImage:
 
     Checks that the state is one vector per class: class u holds exactly
     basis_norm(u) strings, all with one packed value of at most `width`
-    slots.  Raises CollapseError naming the first class that is not.
+    slots.  Raises CollapseError naming the first class that is not, or
+    when the strings differ in length.
     """
+    return _classes(state, _occupations(state, d), width)
+
+
+def _classes(state: DenseState, occupations: List[OccupationVector],
+             width: int) -> ClassImage:
+    """`collapse` of a state whose `_occupations` are already counted."""
     out = {}
-    for (u, v), n in Counter(zip(_occupations(state, d),
-                                 state.values())).items():
+    for (u, v), n in Counter(zip(occupations, state.values())).items():
         if u in out or n != basis_norm(u):
             raise CollapseError(f"class {u} is not {basis_norm(u)} strings "
                                 "with one value")
@@ -270,20 +324,29 @@ def class_images(ops: Iterable[ErrorOperator], state: DenseState, d: int,
     real error operator: that call is the seam the tests replace to inject
     corrupted images, so it takes no partial site matrix.
     """
-    def collapsed(op: ErrorOperator, image: DenseState) -> ClassImage:
+    def collapsed(op: ErrorOperator, image: DenseState,
+                  occupations: Optional[List[OccupationVector]] = None
+                  ) -> ClassImage:
         try:
-            return collapse(image, d, width)
+            if occupations is None:
+                occupations = _occupations(image, d)
+            return _classes(image, occupations, width)
         except CollapseError as exc:
             raise CollapseError(f"dense image under {op.name()} fails the "
                                 f"collapse: {exc}") from exc
 
+    # Counted once: the class split and the identity's collapse share it.
+    try:
+        occupations = _occupations(state, d)
+    except CollapseError as exc:
+        raise CollapseError(f"the state fails the collapse: {exc}") from exc
     parts: Dict[OccupationVector, DenseState] = defaultdict(dict)
-    for u, (string, v) in zip(_occupations(state, d), state.items()):
+    for u, (string, v) in zip(occupations, state.items()):
         parts[u][string] = v
     shared = {}   # (j, k) -> [(u, collapsed S(j,k) image of class part u)]
     for op in ops:
         if op.kind == "I":
-            yield collapsed(op, state)
+            yield collapsed(op, state, occupations)
             continue
         if op.kind == "D":
             yield collapsed(op, dense_apply(op, state, term_cap))

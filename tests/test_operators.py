@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -221,3 +222,31 @@ def test_clock_identity_reads_generator_action(monkeypatch):
                               ("z_dagger_s_z", (1, 3))):
         assert check_conjugation_identity(5, 7, identity, [],
                                           indices) == (True, None)
+
+
+# Each operator with the count it reads outside u[0..2] at d = 3: D(2)
+# reads u[3], and a negative index would read from the end of u.
+UNFIT_AT_D3 = [ErrorOperator("D", 2), ErrorOperator("D", -1),
+               ErrorOperator("S", -1, 1), ErrorOperator("A", 0, -2),
+               ErrorOperator("S", 1, 3)]
+
+
+@pytest.mark.parametrize("op", UNFIT_AT_D3, ids=lambda op: op.name())
+def test_apply_generator_refuses_an_operator_reading_outside_u(op):
+    message = rf"^operator {re.escape(op.name())} does not fit d=3$"
+    with pytest.raises(InvalidInputError, match=message):
+        apply_generator(op, StateVector.basis((1, 1, 1)))
+
+
+@pytest.mark.parametrize("op", UNFIT_AT_D3, ids=lambda op: op.name())
+def test_conjugation_identities_refuse_an_operator_reading_outside_u(op):
+    # Every identity that acts with op on (1, 1, 1) refuses it, as
+    # apply_generator does.  The clock identity acts with S(j,k) alone.
+    kinds = ({"x_dagger_d_x": "D"} if op.kind == "D" else
+             {"x_dagger_s_x": "S", "x_dagger_a_x": "A", "z_dagger_s_z": "S"})
+    for identity, kind in kinds.items():
+        name = ErrorOperator(kind, op.j, op.k).name()
+        message = rf"^operator {re.escape(name)} does not fit d=3$"
+        with pytest.raises(InvalidInputError, match=message):
+            check_conjugation_identity(3, 3, identity, [(1, 1, 1)],
+                                       (op.j, op.k))

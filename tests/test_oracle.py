@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,49 @@ def test_states_agree_detects_mismatch():
     psi = StateVector.basis((2, 1, 0))
     other = dense_symmetric_vector((1, 2, 0))
     assert not states_agree(other, psi)
+
+
+def assert_lane_counts_exact(strings, d):
+    """The lane counts of every digit, and the occupations read off them,
+    equal bytes.count string by string."""
+    counts = oracle._digit_counts(strings, range(d))
+    assert [list(column) for column in counts] == [
+        [s.count(c) for s in strings] for c in range(d)]
+    state = dict.fromkeys(strings, 1)
+    assert oracle._occupations(state, d) == [occupation_of(s, d)
+                                             for s in state]
+
+
+@st.composite
+def digit_strings(draw):
+    # Random bytes reduced mod d (digits only), mod d + 1 (one byte past
+    # the digits) or not at all: no digit counts the bytes >= d.
+    d, N = draw(st.integers(2, 13)), draw(st.integers(1, 64))
+    count = draw(st.integers(1, 40))
+    modulus = draw(st.sampled_from([d, d + 1, 256]))
+    joined = draw(st.binary(min_size=N * count, max_size=N * count)).translate(
+        bytes(x % modulus for x in range(256)))
+    return d, [joined[i:i + N] for i in range(0, len(joined), N)]
+
+
+@given(digit_strings())
+@settings(max_examples=200, deadline=None)
+def test_lane_counts_equal_occupation_of(case):
+    d, strings = case
+    assert_lane_counts_exact(strings, d)
+
+
+@pytest.mark.parametrize("N", [255, 256, 300, 511, 766])
+def test_lane_counts_stay_exact_past_one_byte(N):
+    # A byte lane holds 255: longer strings are counted in blocks of 255
+    # sites, so a count of N never wraps modulo 256.
+    rng = random.Random(N)
+    for d in (2, 3, 13):
+        strings = [bytes(N), bytes([d - 1]) * N, bytes([d]) * N,
+                   bytes(rng.randrange(d + 2) for _ in range(N))]
+        for string in strings:
+            assert_lane_counts_exact([string], d)
+        assert_lane_counts_exact(strings, d)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +273,41 @@ def test_collapse_rejects_a_changed_or_missing_string(monkeypatch):
     assert reports_identical(dense_kl(code), kl_full(code))
 
 
+def test_collapse_refuses_strings_of_two_lengths(monkeypatch):
+    # Each string alone is one class of norm 1, so only the lengths can
+    # refuse this state.
+    state = {bytes(2): pack((1, 0)), bytes(3): pack((1, 0))}
+    message = r"strings of lengths \[2, 3\] in one state$"
+    with pytest.raises(CollapseError, match="^" + message):
+        collapse(state, 3, 2)
+    with pytest.raises(CollapseError, match="^" + message):
+        dense_apply(ErrorOperator("D", 0), state)
+    with pytest.raises(CollapseError,
+                       match="^the state fails the collapse: " + message):
+        next(class_images([ErrorOperator("I")], state, 3, 2))
+
+    # An image that gains a string one site longer, of a class of norm 1.
+    honest = dense_apply
+
+    def longer(op, state, term_cap=oracle.DEFAULT_TERM_CAP):
+        out = dict(honest(op, state, term_cap))
+        if out:
+            out[bytes(len(next(iter(out))) + 1)] = next(iter(out.values()))
+        return out
+
+    monkeypatch.setattr(oracle, "dense_apply", longer)
+    word = dense_symmetric_vector((2, 1, 0))
+    # A(0,1) is read off the S(0,1) images of the class parts.
+    for op, applied in ((ErrorOperator("S", 0, 1), "S(0,1)"),
+                        (ErrorOperator("A", 0, 1), "S(0,1)"),
+                        (ErrorOperator("D", 0), "D(0)")):
+        with pytest.raises(CollapseError,
+                           match=rf"^dense image under {re.escape(applied)} "
+                                 "fails the collapse: strings of lengths "
+                                 r"\[3, 4\] in one state$"):
+            next(class_images([op], word, 3, 2))
+
+
 def test_collapse_refuses_a_value_wider_than_width():
     state = {bytes(1): pack((1, 0, 2))}
     assert collapse(state, 3, 3) == {(1, 0, 0): (1, 0, 2)}
@@ -333,6 +412,31 @@ def test_dense_apply_matches_a_site_by_site_reference():
                 for op in error_basis(d):
                     assert dense_apply(op, state) == naive_apply(op, state), \
                         (d, N, op.name())
+
+
+def test_diagonal_dense_apply_matches_a_site_by_site_reference():
+    # D(l) reads its digit counts off the lanes: states of hundreds of
+    # strings, with bytes no digit counts, and single strings long enough
+    # to need more than one byte per lane.
+    rng = random.Random(22)
+    for d in (2, 3, 5, 13):
+        values = [pack([rng.randint(-99, 99)
+                        for _ in range(rng.randint(1, 8))]) for _ in range(3)]
+        for N in (1, 7, 13, 64):
+            state = {bytes(rng.randrange(d + 1) for _ in range(N)):
+                     rng.choice(values) for _ in range(400)}
+            for l in range(d - 1):
+                op = ErrorOperator("D", l)
+                assert dense_apply(op, state) == naive_apply(op, state), \
+                    (d, N, l)
+        for N in (255, 256, 300):
+            for string in (bytes([1]) * N,
+                           bytes(rng.randrange(d + 1) for _ in range(N))):
+                state = {string: values[0]}
+                for l in range(d - 1):
+                    op = ErrorOperator("D", l)
+                    assert dense_apply(op, state) == naive_apply(op, state), \
+                        (d, N, l)
 
 
 # ---------------------------------------------------------------------------
