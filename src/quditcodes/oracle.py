@@ -16,14 +16,15 @@ relabelings are built string by string.  Nothing here calls
 `operators.generator_action`.
 
 `dense_apply` sweeps the sites in C rather than looping over strings in
-Python.  The strings that share a packed value are joined into one bytes
-object and translated to a 0/1 mask per column c; at site p,
+Python.  The strings that share a packed value are grouped run by run
+(code words and basis vectors come in runs of one value), joined into
+one bytes object and translated to a 0/1 mask per column c; at site p,
 `compress(keys, mask[p::N])` picks the strings (read as base-256
 numerals) with digit c there, and adding one step moves them all.  One
 `Counter` per added value counts the moves that land on each target, and
 a target's value is its count times that added value.  When every move
-adds one value, as S(j,k) does on a state of one value, that counter's
-weighted targets are the image with no merge.
+adds one value, as S(j,k) does on a state of one value, the image is one
+dict built from that counter, with one product per distinct count.
 
 Digits are counted the same way (`_digit_counts`), for all strings at
 once.  The N site slices mask[p::N] of digit c's mask, read as
@@ -32,8 +33,13 @@ its count of c: a lane holds up to 255 sites without a carry, which
 covers every N the caps admit, and longer strings are counted in blocks
 of 255 sites.  The occupation classes (`collapse`, the class split of
 `class_images`) and the diagonal D(l) path of `dense_apply` read these
-counts, and `class_images` counts its input state once, for the split
-and for the identity's collapse alike.
+counts, and `class_images` counts its input state once: for the split,
+the identity's collapse and the D(l) images, whose strings are the
+input's own strings.  A D(l) image string's class is looked up by its
+bytes in a call-local dict of the input's classes; an image holding a
+string the input does not hold is counted afresh, whole.  The collapse
+counts (class, value) pairs run by run: images come in runs of one class
+and one value, so the per-string work is C-level iteration.
 
 Images are shared by pattern (`class_images`).  On the part of a state
 that lies in one occupation class u, an off-diagonal operator on digits
@@ -59,7 +65,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import cache
-from itertools import chain, compress, repeat
+from itertools import chain, compress, groupby, repeat
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum
@@ -156,6 +163,11 @@ class CollapseError(ValueError):
 _LANE = 255   # the most sites one byte lane counts without a carry
 
 
+def _lengths_error(strings: Iterable[DigitString]) -> CollapseError:
+    lengths = sorted(set(map(len, strings)))
+    return CollapseError(f"strings of lengths {lengths} in one state")
+
+
 def _digit_counts(strings: Sequence[DigitString],
                   digits: Iterable[int]) -> List[Sequence[int]]:
     """For each digit c, its count in every string, in string order.
@@ -167,8 +179,7 @@ def _digit_counts(strings: Sequence[DigitString],
     """
     lengths = set(map(len, strings))
     if len(lengths) > 1:
-        raise CollapseError(f"strings of lengths {sorted(lengths)} in one "
-                            "state")
+        raise _lengths_error(strings)
     N = lengths.pop() if lengths else 0
     joined = b"".join(strings)
     out = []
@@ -193,16 +204,17 @@ def dense_apply(op: ErrorOperator, state: DenseState,
     The call raises before adding anything when that bound leaves the slot
     range.
 
-    The strings are swept one (value, column, site) at a time, not one
-    string at a time (see the module docstring).
+    The strings are grouped by runs of one value and swept one (value,
+    column, site) at a time, not one string at a time (see the module
+    docstring).  Raises CollapseError when the strings differ in length.
     """
     if op.kind == "I" or not state:
         return state
     matrix = _site_matrix(op)
     N = len(next(iter(state)))
     groups: Dict[int, List[DigitString]] = defaultdict(list)
-    for string, v in state.items():
-        groups[v].append(string)
+    for v, run in groupby(state.items(), key=itemgetter(1)):
+        groups[v].extend(map(itemgetter(0), run))
     peak = max((abs(s) for v in groups for s in unpack(v)), default=0)
     if N * peak >= _HALF:
         raise InvalidInputError(
@@ -214,8 +226,13 @@ def dense_apply(op: ErrorOperator, state: DenseState,
     if all(row == col for col, (row, _) in matrix.items()):
         # Diagonal: the sites with digit c add adds[c] to the string itself.
         for v, strings in groups.items():
+            per_digit = _digit_counts(strings, adds[v])
+            # One length within the group (checked above), but all groups
+            # must share N.
+            if len(strings[0]) != N:
+                raise _lengths_error(state)
             columns = [map(add.__mul__, count) for add, count in
-                       zip(adds[v].values(), _digit_counts(strings, adds[v]))]
+                       zip(adds[v].values(), per_digit)]
             totals = list(map(sum, zip(*columns)))
             out.update(compress(zip(strings, totals), totals))
     else:
@@ -226,8 +243,11 @@ def dense_apply(op: ErrorOperator, state: DenseState,
                  for col, (row, _) in matrix.items()}
         counts: Dict[int, Counter] = defaultdict(Counter)
         for v, strings in groups.items():
-            keys = list(map(int.from_bytes, strings, repeat("big")))
             joined = b"".join(strings)
+            # The total alone passes lengths such as [2, 1, 3] at N = 2.
+            if len(joined) != N * len(strings) or max(map(len, strings)) != N:
+                raise _lengths_error(state)
+            keys = list(map(int.from_bytes, strings, repeat("big")))
             for col, add in adds[v].items():
                 if col not in joined:
                     continue
@@ -236,18 +256,27 @@ def dense_apply(op: ErrorOperator, state: DenseState,
                 moves = [map(step.__add__, compress(keys, mask[p::N]))
                          for p, step in enumerate(steps[col])]
                 counts[add].update(chain.from_iterable(moves))
-        numerals: Dict[int, int] = {}
-        for add, counter in counts.items():
-            weighted = dict(zip(counter, map(add.__mul__, counter.values())))
-            if not numerals:   # the first added value needs no merge
-                numerals = weighted
-                continue
-            for t in weighted.keys() & numerals.keys():
-                weighted[t] += numerals[t]
-            numerals.update(weighted)
-        values = list(numerals.values())
-        out = dict(compress(zip(map(int.to_bytes, numerals, repeat(N),
-                                    repeat("big")), values), values))
+        if len(counts) == 1:
+            # One added value: a target's value is its count times it, one
+            # product per distinct count.
+            (add, counter), = counts.items()
+            if not add:
+                return {}
+            products = {n: add * n for n in set(counter.values())}
+            out = dict(zip(map(int.to_bytes, counter, repeat(N),
+                               repeat("big")),
+                           map(products.__getitem__, counter.values())))
+        else:
+            numerals: Dict[int, int] = {}
+            for add, counter in counts.items():
+                weighted = dict(zip(counter,
+                                    map(add.__mul__, counter.values())))
+                for t in weighted.keys() & numerals.keys():
+                    weighted[t] += numerals[t]
+                numerals.update(weighted)
+            values = list(numerals.values())
+            out = dict(compress(zip(map(int.to_bytes, numerals, repeat(N),
+                                        repeat("big")), values), values))
     if len(out) > term_cap:
         raise InvalidInputError(f"dense apply exceeded term cap {term_cap}")
     return out
@@ -291,9 +320,17 @@ def collapse(state: DenseState, d: int, width: int) -> ClassImage:
 
 def _classes(state: DenseState, occupations: List[OccupationVector],
              width: int) -> ClassImage:
-    """`collapse` of a state whose `_occupations` are already counted."""
+    """`collapse` of a state whose `_occupations` are already counted.
+
+    Consecutive strings with one class and one value are counted as one
+    run; the runs of each (class, value) pair are added up, in the order
+    the pairs first appear, so a class is refused whatever the string
+    order."""
+    runs: Dict[Tuple[OccupationVector, int], int] = {}
+    for key, run in groupby(zip(occupations, state.values())):
+        runs[key] = runs.get(key, 0) + len(list(run))
     out = {}
-    for (u, v), n in Counter(zip(occupations, state.values())).items():
+    for (u, v), n in runs.items():
         if u in out or n != basis_norm(u):
             raise CollapseError(f"class {u} is not {basis_norm(u)} strings "
                                 "with one value")
@@ -309,7 +346,9 @@ def class_images(ops: Iterable[ErrorOperator], state: DenseState, d: int,
     """collapse(dense_apply(op, state), d, width) for each op in turn.
 
     The identity's image is the collapsed state, and D(l)'s is the
-    collapsed `dense_apply` on the whole state.  The image of an operator
+    collapsed `dense_apply` on the whole state, whose strings' classes are
+    read off the state's own counts by string (and counted afresh when
+    the image holds a string the state does not).  The image of an operator
     on digits {j, k} is read off the collapsed images of S(j,k) on each
     class part of the state (see the module docstring); those are built
     once per pair and shared.  An assembled image may hold at most term_cap
@@ -335,21 +374,25 @@ def class_images(ops: Iterable[ErrorOperator], state: DenseState, d: int,
             raise CollapseError(f"dense image under {op.name()} fails the "
                                 f"collapse: {exc}") from exc
 
-    # Counted once: the class split and the identity's collapse share it.
+    # Counted once: the class split, the identity's collapse and the D(l)
+    # images (by string, through `known`) share it.
     try:
         occupations = _occupations(state, d)
     except CollapseError as exc:
         raise CollapseError(f"the state fails the collapse: {exc}") from exc
     parts: Dict[OccupationVector, DenseState] = defaultdict(dict)
-    for u, (string, v) in zip(occupations, state.items()):
-        parts[u][string] = v
+    for u, run in groupby(zip(occupations, state.items()), key=itemgetter(0)):
+        parts[u].update(map(itemgetter(1), run))
+    known = dict(zip(state, occupations))
     shared = {}   # (j, k) -> [(u, collapsed S(j,k) image of class part u)]
     for op in ops:
         if op.kind == "I":
             yield collapsed(op, state, occupations)
             continue
         if op.kind == "D":
-            yield collapsed(op, dense_apply(op, state, term_cap))
+            image = dense_apply(op, state, term_cap)
+            reused = list(map(known.get, image))
+            yield collapsed(op, image, None if None in reused else reused)
             continue
         pair = (min(op.j, op.k), max(op.j, op.k))
         if pair not in shared:

@@ -1,6 +1,8 @@
 import random
 import re
+from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import chain, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -558,3 +560,168 @@ def test_shared_images_keep_the_term_cap_of_each_image():
         assert next(class_images([op], word, 3, 2, term_cap=strings))
         with pytest.raises(InvalidInputError):
             next(class_images([op], word, 3, 2, term_cap=strings - 1))
+
+
+# ---------------------------------------------------------------------------
+# runs: the collapse, the value groups and the D(l) classes read off the
+# input
+
+
+@pytest.mark.parametrize("op", [ErrorOperator("S", 0, 1),
+                                ErrorOperator("A", 0, 1),
+                                ErrorOperator("D", 0)],
+                         ids=lambda op: op.name())
+def test_dense_apply_refuses_strings_of_two_lengths(op):
+    # Off the diagonal N was read from the first string: S(0,1) sent the
+    # first state to {1: 1, 2: 1}, a digit S(0,1) cannot write.
+    for state in ({b"\x00": 1, b"\x00\x01": 1},    # one value group
+                  {b"\x00": 1, b"\x00\x01": 2}):   # one length per group
+        with pytest.raises(CollapseError,
+                           match=r"^strings of lengths \[1, 2\] in one "
+                                 "state$"):
+            dense_apply(op, state)
+    # Lengths 2, 1 and 3 add up to N = 2 times three strings.
+    with pytest.raises(CollapseError,
+                       match=r"^strings of lengths \[1, 2, 3\] in one state$"):
+        dense_apply(op, {b"\x00\x00": 1, b"\x00": 1, b"\x00\x00\x00": 1})
+
+
+def counter_rule_message(state, d):
+    """The refusal of the (class, value) Counter rule: pairs counted over
+    the whole state, the first failing pair in first-appearance order."""
+    seen = set()
+    pairs = Counter(zip((occupation_of(s, d) for s in state), state.values()))
+    for (u, _), n in pairs.items():
+        if u in seen or n != basis_norm(u):
+            return f"class {u} is not {basis_norm(u)} strings with one value"
+        seen.add(u)
+    return None
+
+
+def corrupt_words(word, d):
+    """Three corruptions of a code word, each in grouped string order: a
+    class carrying two values, its strings interleaved with another
+    class's; a class short one string; one string with a changed digit."""
+    classes = defaultdict(list)
+    for s in word:
+        classes[occupation_of(s, d)].append(s)
+    u, w = [t for t in classes if basis_norm(t) > 1][:2]
+    mixed = {t: dict.fromkeys(ss, word[ss[0]]) for t, ss in classes.items()}
+    mixed[u] = {s: word[s] + (i % 2) for i, s in enumerate(classes[u])}
+    merged = dict(chain.from_iterable(
+        zip_longest(mixed.pop(u).items(), mixed.pop(w).items(),
+                    fillvalue=(None, None))))
+    merged.pop(None, None)
+    two_values = {**merged, **{s: v for part in mixed.values()
+                               for s, v in part.items()}}
+    short = dict(word)
+    del short[classes[u][-1]]
+    changed = dict(word)
+    s = classes[w][0]
+    changed[bytes([(s[0] + 1) % d]) + s[1:]] = changed.pop(s)
+    return two_values, short, changed
+
+
+@pytest.mark.parametrize("name", ["tiny", "qutrit13"])
+def test_collapse_does_not_depend_on_string_order(name):
+    code = tiny_code() if name == "tiny" else shipped_code("qutrit13")
+    d, width = code.d, 2 * len(code.orbits)
+    rng = random.Random(len(name))
+    for word in dense_codewords(code)[:2]:
+        grouped = collapse(word, d, width)
+        items = list(word.items())
+        rng.shuffle(items)
+        assert collapse(dict(items), d, width) == grouped
+    if name == "tiny":   # every class of the tiny code holds one string
+        return
+    word = dense_codewords(code)[0]
+    for bad in corrupt_words(word, d):
+        items = list(bad.items())
+        rng.shuffle(items)
+        for state in (bad, dict(items)):
+            message = counter_rule_message(state, d)
+            assert message is not None
+            with pytest.raises(CollapseError, match=f"^{re.escape(message)}$"):
+                collapse(state, d, width)
+
+
+def corrupt_d0(edit, d):
+    """dense_apply with edit applied to each D(0) image."""
+    honest = dense_apply
+
+    def apply(op, state, term_cap=oracle.DEFAULT_TERM_CAP):
+        out = dict(honest(op, state, term_cap))
+        if op.kind == "D" and op.j == 0:
+            edit(out, state, d)
+        return out
+    return apply
+
+
+def change_a_digit(out, state, d):
+    # The last string, so the image keeps its string order: read by
+    # position, the changed string would keep its old class.
+    s = next(reversed(out))
+    new = next(t for t in (s[:p] + bytes([c]) + s[p + 1:]
+                           for p in range(len(s)) for c in range(d))
+               if t not in state)
+    out[new] = out.pop(s)
+
+
+def drop_a_string(out, state, d):
+    del out[next(iter(out))]
+
+
+def rename_onto_another_class(out, state, d):
+    s = next(iter(out))
+    t = next(t for t in out if occupation_of(t, d) != occupation_of(s, d)
+             and out[t] == out[s])
+    out[t] = out.pop(s)
+
+
+# D(0) sends three classes of the d = 5 word, three strings each, to one
+# value (2, 0), so a string renamed from one onto another keeps its value.
+# Every class of the tiny code holds one string, so a changed digit leaves
+# only the new string's class to refuse.
+D5_CODE = Code(5, 3, 3, (OrbitAmplitude((2, 1, 0, 0, 0), RadicalSum.of(1)),))
+
+
+def test_diagonal_image_of_the_d5_word_repeats_a_value():
+    word = dense_codewords(D5_CODE)[0]
+    image = collapse(dense_apply(ErrorOperator("D", 0), word), 5, 2)
+    assert sorted(image.values()) == [(1, 0), (2, 0), (2, 0), (2, 0)]
+
+
+@pytest.mark.parametrize("edit, code", [
+    (change_a_digit, tiny_code()), (change_a_digit, D5_CODE),
+    (drop_a_string, D5_CODE), (rename_onto_another_class, D5_CODE)],
+    ids=["change_a_digit-tiny", "change_a_digit-d5", "drop_a_string-d5",
+         "rename_onto_another_class-d5"])
+def test_reused_classes_do_not_hide_a_corrupt_diagonal_image(monkeypatch,
+                                                             edit, code):
+    word = dense_codewords(code)[0]
+    monkeypatch.setattr(oracle, "dense_apply", corrupt_d0(edit, code.d))
+    message = r"dense image under D\(0\) fails the collapse: class "
+    with pytest.raises(CollapseError, match="^" + message):
+        next(class_images([ErrorOperator("D", 0)], word, code.d, 2))
+    with pytest.raises(CollapseError, match="^code word 0: " + message):
+        dense_kl(code)
+
+
+def test_dense_apply_gives_nothing_on_an_all_zero_state():
+    state = dict.fromkeys(dense_symmetric_vector((2, 1, 1)), 0)
+    for op in (ErrorOperator("S", 0, 1), ErrorOperator("A", 0, 1),
+               ErrorOperator("D", 0)):
+        assert dense_apply(op, state) == {}, op.name()
+
+
+@pytest.mark.parametrize("u", [(2, 1, 0), (1, 2, 0, 2, 0)])
+def test_one_value_in_two_runs_matches_a_site_by_site_reference(u):
+    # One value v on the strings of u, in two runs split by a string of
+    # the top digit only (value w) that S(0,1) and A(0,1) do not move:
+    # every S(0,1) move adds v.
+    d, v, w = len(u), pack((3, -1)), pack((5, 2))
+    strings = list(dense_symmetric_vector(u))
+    state = {strings[0]: v, bytes([d - 1]) * sum(u): w,
+             **dict.fromkeys(strings[1:], v)}
+    for op in error_basis(d):
+        assert dense_apply(op, state) == naive_apply(op, state), op.name()
