@@ -573,7 +573,8 @@ def test_shared_images_keep_the_term_cap_of_each_image():
                          ids=lambda op: op.name())
 def test_dense_apply_refuses_strings_of_two_lengths(op):
     # Off the diagonal N was read from the first string: S(0,1) sent the
-    # first state to {1: 1, 2: 1}, a digit S(0,1) cannot write.
+    # first state to {b"\x01": 1, b"\x02": 1}, a digit S(0,1) cannot
+    # write.
     for state in ({b"\x00": 1, b"\x00\x01": 1},    # one value group
                   {b"\x00": 1, b"\x00\x01": 2}):   # one length per group
         with pytest.raises(CollapseError,
@@ -606,7 +607,7 @@ def corrupt_words(word, d):
     for s in word:
         classes[occupation_of(s, d)].append(s)
     u, w = [t for t in classes if basis_norm(t) > 1][:2]
-    mixed = {t: dict.fromkeys(ss, word[ss[0]]) for t, ss in classes.items()}
+    mixed = {t: {s: word[s] for s in ss} for t, ss in classes.items()}
     mixed[u] = {s: word[s] + (i % 2) for i, s in enumerate(classes[u])}
     merged = dict(chain.from_iterable(
         zip_longest(mixed.pop(u).items(), mixed.pop(w).items(),
