@@ -12,16 +12,17 @@ amplitudes are accepted through the API.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Tuple
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum
-from .combinatorics import (OccupationVector, basis_norm, check_occupation,
-                            cyclic_shift, distinct_orbit_keys, expand_orbit,
-                            is_eligible, sparsity_violation, tail_orbit)
+from .combinatorics import (OccupationVector, basis_norm, check_code_space,
+                            check_occupation, cyclic_shift,
+                            distinct_orbit_keys, expand_orbit, is_eligible,
+                            sparsity_violation, tail_orbit)
 from .operators import StateVector
+from .reptheory import is_valid_code_space
 
 
 @dataclass(frozen=True)
@@ -75,37 +76,33 @@ def codeword(code: Code, k: int) -> StateVector:
 
 
 def validate(code: Code) -> ValidationReport:
-    """Structural checks: residue, weights, exact normalization, distinct
-    orbits, effective sparsity."""
+    """Structural checks: residue (`check_code_space` and
+    `is_valid_code_space`), weights, distinct orbits (`distinct_orbit_keys`,
+    whose refusal is the witness), normalization, effective sparsity."""
     report = ValidationReport()
 
-    residue_ok = (code.d >= 3 and code.d % 2 == 1
-                  and math.gcd(code.eta, code.d) == 1
-                  and code.N % code.d == code.eta % code.d)
+    try:
+        check_code_space(code.d, code.N)
+        residue_ok = is_valid_code_space(code.d, code.N, code.eta)
+    except InvalidInputError:
+        residue_ok = False
     report.record("residue", residue_ok,
                   {"d": code.d, "N": code.N, "eta": code.eta})
 
-    if not code.orbits:
-        report.record("support", False, "empty orbit list")
-        return report
-
-    support_ok, support_witness = True, None
-    seen = set()
     for entry in code.orbits:
         rep = entry.representative
         if not is_eligible(rep, code.d, code.N):
-            support_ok, support_witness = False, rep
-            break
-        if rep in seen:
-            support_ok, support_witness = False, ("duplicate orbit", rep)
-            break
-        seen.add(rep)
+            report.record("support", False, rep)
+            return report
         if entry.amplitude.is_zero():
-            support_ok, support_witness = False, ("zero amplitude", rep)
-            break
-    report.record("support", support_ok, support_witness)
-    if not support_ok:
+            report.record("support", False, ("zero amplitude", rep))
+            return report
+    try:
+        distinct_orbit_keys(code.support_representatives(), "code")
+    except InvalidInputError as exc:
+        report.record("support", False, str(exc))
         return report
+    report.record("support", True)
 
     total = RadicalSum.zero()
     for entry in code.orbits:

@@ -25,8 +25,7 @@ def check_occupation(u: Sequence[int], d: Optional[int] = None,
     u = tuple(u)
     if d is not None and len(u) != d:
         raise InvalidInputError(f"expected length {d}, got {u}")
-    if len(u) < 3 or len(u) % 2 == 0:
-        raise InvalidInputError(f"dimension must be odd and >= 3, got {len(u)}")
+    _check_odd_dimension(len(u))
     if any(x < 0 for x in u):
         raise InvalidInputError(f"negative entry in {u}")
     if N is not None and sum(u) != N:
@@ -142,10 +141,14 @@ def is_eligible(u: Sequence[int], d: int, N: int) -> bool:
             and all((x - u[1]) % d == 0 for x in u[2:]))
 
 
-def check_dimensions(d: int, N: int) -> None:
-    """Refuse (d, N) outside the domain of the codes: odd d >= 3, N >= 1."""
+def _check_odd_dimension(d: int) -> None:
     if d < 3 or d % 2 == 0:
         raise InvalidInputError(f"dimension must be odd and >= 3, got {d}")
+
+
+def check_dimensions(d: int, N: int) -> None:
+    """Refuse (d, N) outside the domain of the codes: odd d >= 3, N >= 1."""
+    _check_odd_dimension(d)
     if N < 1:
         raise InvalidInputError(f"need N >= 1, got {N}")
 

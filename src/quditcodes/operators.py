@@ -130,11 +130,12 @@ def generator_action(op: ErrorOperator, u: OccupationVector
 
 def _check_fits(op: ErrorOperator, d: int) -> None:
     """Refuse an operator whose action reads a count outside u[0..d-1]:
-    D(l) reads u[l] and u[l+1], and S(j,k) and A(j,k) read u[j] and u[k]."""
+    D(l) reads u[l] and u[l+1], and S(j,k) and A(j,k) read u[j] and u[k].
+    S(j,j) and A(j,j), not in the error basis, are refused too."""
     if op.kind not in ("S", "A", "D"):
         raise InvalidInputError(f"unknown operator kind {op.kind!r}")
     read = (op.j, op.j + 1) if op.kind == "D" else (op.j, op.k)
-    if min(read) < 0 or max(read) >= d:
+    if min(read) < 0 or max(read) >= d or read[0] == read[1]:
         raise InvalidInputError(f"operator {op.name()} does not fit d={d}")
 
 

@@ -26,20 +26,20 @@ a target's value is its count times that added value.  When every move
 adds one value, as S(j,k) does on a state of one value, the image is one
 dict built from that counter, with one product per distinct count.
 
-Digits are counted the same way (`_digit_counts`), for all strings at
-once.  The N site slices mask[p::N] of digit c's mask, read as
-little-endian integers, add up to one byte lane per string that holds
-its count of c: a lane holds up to 255 sites without a carry, which
-covers every N the caps admit, and longer strings are counted in blocks
-of 255 sites.  The occupation classes (`collapse`, the class split of
-`class_images`) and the diagonal D(l) path of `dense_apply` read these
-counts, and `class_images` counts its input state once: for the split,
-the identity's collapse and the D(l) images, whose strings are the
-input's own strings.  A D(l) image string's class is looked up by its
-bytes in a call-local dict of the input's classes; an image holding a
-string the input does not hold is counted afresh, whole.  The collapse
-counts (class, value) pairs run by run: images come in runs of one class
-and one value, so the per-string work is C-level iteration.
+Digits are counted the same way (`_digit_counts`), for all strings at once,
+which share one length N (`_string_length`, the one length rule).  The N
+site slices mask[p::N] of digit c's mask, read as little-endian integers,
+add up to one byte lane per string that holds its count of c: a lane holds
+up to 255 sites without a carry, which covers every N the caps admit, and
+longer strings are counted in blocks of 255 sites.  The occupation classes
+(`collapse`, the class split of `class_images`) and the diagonal D(l) path
+of `dense_apply` read these counts, and `class_images` counts its input
+state once: for the split, the identity's collapse and the D(l) images,
+whose strings are the input's own strings.  A D(l) image string's class is
+looked up by its bytes in a call-local dict of the input's classes; an
+image holding a string the input does not hold is counted afresh, whole.
+The collapse counts (class, value) pairs run by run: images come in runs of
+one class and one value, so the per-string work is C-level iteration.
 
 Images are shared by pattern (`class_images`).  On the part of a state
 that lies in one occupation class u, an off-diagonal operator on digits
@@ -74,7 +74,7 @@ from .codes import Code
 from .combinatorics import (OccupationVector, basis_norm,
                             distinct_orbit_keys, expand_orbit,
                             multiset_permutations)
-from .config import Config
+from .config import Config, check_scale
 from .operators import ErrorOperator, StateVector, error_basis
 from .verifier import KLReport, PairTables, kl_full
 
@@ -137,10 +137,11 @@ def dense_symmetric_vector(u: Iterable[int],
 def _site_matrix(op: ErrorOperator) -> Dict[int, Tuple[int, int]]:
     """column digit -> (row digit, phase code); phase codes 0..3 mean i**code.
 
-    Each column and each row holds at most one entry."""
-    if op.kind == "S":
+    Each column and each row holds at most one entry, so S(j,j) and A(j,j),
+    whose two columns the dict would merge, have none."""
+    if op.kind == "S" and op.j != op.k:
         return {op.k: (op.j, 0), op.j: (op.k, 0)}
-    if op.kind == "A":
+    if op.kind == "A" and op.j != op.k:
         # -i|j><k| + i|k><j|
         return {op.k: (op.j, 3), op.j: (op.k, 1)}
     if op.kind == "D":
@@ -163,9 +164,13 @@ class CollapseError(ValueError):
 _LANE = 255   # the most sites one byte lane counts without a carry
 
 
-def _lengths_error(strings: Iterable[DigitString]) -> CollapseError:
+def _string_length(strings: Iterable[DigitString]) -> int:
+    """The one length N of the strings (0 for none); the oracle's only
+    length rule.  Raises CollapseError when the strings differ in length."""
     lengths = sorted(set(map(len, strings)))
-    return CollapseError(f"strings of lengths {lengths} in one state")
+    if len(lengths) > 1:
+        raise CollapseError(f"strings of lengths {lengths} in one state")
+    return lengths[0] if lengths else 0
 
 
 def _digit_counts(strings: Sequence[DigitString],
@@ -175,12 +180,9 @@ def _digit_counts(strings: Sequence[DigitString],
     The strings are joined and translated to a 0/1 mask per digit; the
     site slices mask[p::N], read as little-endian integers, add up to one
     byte lane per string (see the module docstring).  Raises
-    CollapseError when the strings differ in length.
+    CollapseError when the strings differ in length (`_string_length`).
     """
-    lengths = set(map(len, strings))
-    if len(lengths) > 1:
-        raise _lengths_error(strings)
-    N = lengths.pop() if lengths else 0
+    N = _string_length(strings)
     joined = b"".join(strings)
     out = []
     for c in digits:
@@ -206,12 +208,12 @@ def dense_apply(op: ErrorOperator, state: DenseState,
 
     The strings are grouped by runs of one value and swept one (value,
     column, site) at a time, not one string at a time (see the module
-    docstring).  Raises CollapseError when the strings differ in length.
+    docstring).  N is `_string_length` of the whole input (CollapseError).
     """
     if op.kind == "I" or not state:
         return state
     matrix = _site_matrix(op)
-    N = len(next(iter(state)))
+    N = _string_length(state)
     groups: Dict[int, List[DigitString]] = defaultdict(list)
     for v, run in groupby(state.items(), key=itemgetter(1)):
         groups[v].extend(map(itemgetter(0), run))
@@ -227,10 +229,6 @@ def dense_apply(op: ErrorOperator, state: DenseState,
         # Diagonal: the sites with digit c add adds[c] to the string itself.
         for v, strings in groups.items():
             per_digit = _digit_counts(strings, adds[v])
-            # One length within the group (checked above), but all groups
-            # must share N.
-            if len(strings[0]) != N:
-                raise _lengths_error(state)
             columns = [map(add.__mul__, count) for add, count in
                        zip(adds[v].values(), per_digit)]
             totals = list(map(sum, zip(*columns)))
@@ -244,9 +242,6 @@ def dense_apply(op: ErrorOperator, state: DenseState,
         counts: Dict[int, Counter] = defaultdict(Counter)
         for v, strings in groups.items():
             joined = b"".join(strings)
-            # The total alone passes lengths such as [2, 1, 3] at N = 2.
-            if len(joined) != N * len(strings) or max(map(len, strings)) != N:
-                raise _lengths_error(state)
             keys = list(map(int.from_bytes, strings, repeat("big")))
             for col, add in adds[v].items():
                 if col not in joined:
@@ -433,8 +428,9 @@ def dense_kl(code: Code, term_cap: int = DEFAULT_TERM_CAP) -> KLReport:
 
     The error basis acts on the dense code words; each collapsed image is
     split into one image per orbit, and `kl_full` decides them, so the
-    reports can be compared field by field.
+    reports can be compared field by field.  The caps come first.
     """
+    check_scale(code.d, code.N, Config.max_d, Config.max_n)
     keys = distinct_orbit_keys(code.support_representatives(), "code")
     k = len(keys)
     words = dense_codewords(code, term_cap)

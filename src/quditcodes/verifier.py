@@ -478,8 +478,10 @@ def qf_check(code: Code, mode: str = "exact",
              tolerance: float = Config.float_tolerance,
              max_d: int = Config.max_d, max_n: int = Config.max_n) -> KLReport:
     """The three scalar quadratic forms for sparse doubly
-    permutation-invariant codes; refuses codes that fail validation."""
+    permutation-invariant codes.  Refuses what `distinct_orbit_keys`
+    refuses, as the other levels do, and codes that fail validation."""
     check_scale(code.d, code.N, max_d, max_n)
+    distinct_orbit_keys(code.support_representatives(), "code")
     structure = validate(code)
     if not structure.passed:
         failed = [name for name, ok in structure.checks.items() if not ok]

@@ -222,7 +222,7 @@ def test_solve_refuses_the_residues_search_refuses(capsys):
     assert status == 0 and payload["count"] == 19
 
 
-@pytest.mark.parametrize("level", ["full", "reduced"])
+@pytest.mark.parametrize("level", ["full", "reduced", "qf"])
 def test_check_refuses_a_code_that_lists_one_orbit_twice(tmp_path, capsys,
                                                         level):
     # Keyed by listing, this file would pass `full` on the later
@@ -234,6 +234,17 @@ def test_check_refuses_a_code_that_lists_one_orbit_twice(tmp_path, capsys,
     assert status == 2
     assert payload["error"] == {"type": "InvalidInputError",
                                 "message": DUPLICATE_ORBIT_MESSAGE}
+
+
+@pytest.mark.parametrize("level", ["full", "reduced", "qf"])
+def test_check_refuses_a_code_with_no_orbits(tmp_path, capsys, level):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"d": 3, "N": 13, "eta": 1, "orbits": []}))
+    status, payload = run(capsys, "check", "--code", str(path),
+                          "--level", level)
+    assert status == 2
+    assert payload["error"] == {"type": "InvalidInputError",
+                                "message": "code is empty"}
 
 
 def test_branching_refuses_inputs_beyond_the_caps(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -7,9 +8,10 @@ from quditcodes.arith import ExactComplex, InvalidInputError, RadicalSum
 from quditcodes.codes import (Code, OrbitAmplitude, code_from_json,
                               code_to_json, codeword, load_code, save_code,
                               validate)
-from quditcodes.combinatorics import (cyclic_shift, expand_orbit,
-                                      is_effectively_sparse)
+from quditcodes.combinatorics import (check_code_space, cyclic_shift,
+                                      expand_orbit, is_effectively_sparse)
 from quditcodes.operators import inner_product
+from quditcodes.reptheory import is_valid_code_space
 from quditcodes.solver import build_qf_system
 
 from conftest import (DUPLICATE_ORBIT_MESSAGE, duplicate_orbit_json,
@@ -56,6 +58,33 @@ def test_validate_catches_broken_residue():
     bad = Code(good.d, good.N, 2, good.orbits)
     report = validate(bad)
     assert not report.checks["residue"]
+
+
+def test_validate_residue_is_the_owners_verdict():
+    # Even d, non-unit eta and eta not congruent to N included.
+    def owners_accept(d, N, eta):
+        try:
+            check_code_space(d, N)
+            return is_valid_code_space(d, N, eta)
+        except InvalidInputError:
+            return False
+
+    for d, N, eta in itertools.product(range(1, 10), range(21),
+                                       range(-3, 13)):
+        report = validate(Code(d, N, eta, ()))
+        assert report.checks["residue"] == owners_accept(d, N, eta), \
+            (d, N, eta)
+
+
+def test_validate_support_witness_is_the_orbit_list_owners_message():
+    good = shipped_code("qutrit13")
+    report = validate(Code(3, 13, 1, good.orbits + (good.orbits[0],)))
+    assert report.witnesses["support"] == (
+        "code lists one tail orbit twice: (13, 0, 0) and (13, 0, 0) share "
+        "the representative (13, 0, 0)")
+    report = validate(Code(3, 13, 1, ()))
+    assert report.witnesses["support"] == "code is empty"
+    assert set(report.checks) == {"residue", "support"}
 
 
 def test_validate_catches_broken_normalization():

@@ -228,7 +228,8 @@ def test_clock_identity_reads_generator_action(monkeypatch):
 # reads u[3], and a negative index would read from the end of u.
 UNFIT_AT_D3 = [ErrorOperator("D", 2), ErrorOperator("D", -1),
                ErrorOperator("S", -1, 1), ErrorOperator("A", 0, -2),
-               ErrorOperator("S", 1, 3)]
+               ErrorOperator("S", 1, 3), ErrorOperator("S", 1, 1),
+               ErrorOperator("A", 2, 2)]
 
 
 @pytest.mark.parametrize("op", UNFIT_AT_D3, ids=lambda op: op.name())

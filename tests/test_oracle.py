@@ -322,6 +322,23 @@ def test_dense_apply_refuses_an_operator_without_a_site_matrix():
     with pytest.raises(InvalidInputError,
                        match=r"^no site matrix for X\(0,1\)$"):
         dense_apply(ErrorOperator("X", 0, 1), dense_symmetric_vector((1, 1, 0)))
+    # S(j,j) and A(j,j) are not in the error basis: a one-entry-per-column
+    # site matrix would merge their two columns.
+    for op in (ErrorOperator("S", 1, 1), ErrorOperator("A", 1, 1)):
+        with pytest.raises(InvalidInputError,
+                           match=rf"^no site matrix for {re.escape(op.name())}$"):
+            dense_apply(op, dense_symmetric_vector((1, 2, 0)))
+
+
+def test_dense_kl_reads_the_caps_before_any_dense_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense_apply called before the caps")
+
+    monkeypatch.setattr(oracle, "dense_apply", refuse)
+    code = Code(3, 67, 1, (OrbitAmplitude((67, 0, 0), RadicalSum.of(1)),))
+    with pytest.raises(InvalidInputError,
+                       match=r"^\(d=3, N=67\) exceeds caps "):
+        dense_kl(code)
 
 
 def test_pack_round_trips_signed_slots():

@@ -174,13 +174,19 @@ def test_rows_decide_full_on_shipped_tampered_and_family_codes(corpus):
 # reduced check
 
 
-@pytest.mark.parametrize("check", [kl_full, kl_reduced, dense_kl])
+@pytest.mark.parametrize("check", [kl_full, kl_reduced, qf_check, dense_kl])
 def test_checks_refuse_a_code_that_lists_one_orbit_twice(check):
     # Keyed by listing, the code would pass `kl_full` on the later
     # listing's amplitude.  `dense_kl` refuses before any dense work.
     with pytest.raises(InvalidInputError) as excinfo:
         check(code_from_json(duplicate_orbit_json()))
     assert str(excinfo.value) == DUPLICATE_ORBIT_MESSAGE
+
+
+@pytest.mark.parametrize("check", [kl_full, kl_reduced, qf_check, dense_kl])
+def test_checks_refuse_an_empty_code(check):
+    with pytest.raises(InvalidInputError, match="^code is empty$"):
+        check(Code(3, 13, 1, ()))
 
 
 def test_reduced_check_agrees_with_full_on_corpus(corpus):
