@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from importlib import resources
@@ -21,12 +20,12 @@ from .arith import InvalidInputError, UnfactorableError
 from .codes import code_from_json, code_to_json, load_code
 from .combinatorics import (check_dimensions, check_occupation,
                             enumerate_supports)
-from .config import Config, check_scale, load_config
+from .config import MODES, Config, check_scale, load_config
 from .oracle import CollapseError, class_images, dense_symmetric_vector
 from .operators import error_basis, generator_action
 from .reptheory import branching_multiplicity, sym_dim
 from .solver import build_qf_system, family_code, search, solve_system
-from .verifier import run_level
+from .verifier import LEVELS, run_level
 
 DATA_PACKAGE = "quditcodes.data"
 
@@ -135,7 +134,7 @@ def cmd_oracle(args, config: Config) -> int:
             f"got d={args.d}, N={args.N}, trials={args.trials}")
     rng = random.Random(args.seed)
     basis = [op for op in error_basis(args.d) if op.kind != "I"]
-    compositions = math.comb(args.N + args.d - 1, args.d - 1)
+    compositions = sym_dim(args.d, args.N)
     checked = set()
     for _ in range(args.trials):
         if len(checked) == compositions:
@@ -185,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify a code file")
     p.add_argument("--code", required=True)
-    p.add_argument("--level", choices=("full", "reduced", "qf"), default="full")
-    p.add_argument("--mode", choices=("exact", "float"))
+    p.add_argument("--level", choices=LEVELS, default="full")
+    p.add_argument("--mode", choices=MODES)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="solve the quadratic forms on a support")

@@ -145,13 +145,19 @@ def _integer_from_json(x) -> int:
     raise InvalidInputError(f"expected an integer, got {x!r}")
 
 
+def _fraction_from_json(pair) -> Fraction:
+    """[numerator, denominator], each read by `_integer_from_json`."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise InvalidInputError(f"expected an integer pair, got {pair!r}")
+    return Fraction(*map(_integer_from_json, pair))
+
+
 def _amplitude_from_json(data: dict) -> RadicalSum:
     sign = _integer_from_json(data["sign"])
     if sign not in (1, -1):
         raise InvalidInputError(f"amplitude sign must be +-1, got {sign}")
-    coeff = Fraction(*data["coeff"])
-    radicand = Fraction(*data["radicand"])
-    amp = RadicalSum.sqrt(radicand, sign * coeff)
+    coeff = _fraction_from_json(data["coeff"])
+    amp = RadicalSum.sqrt(_fraction_from_json(data["radicand"]), sign * coeff)
     if amp.is_zero():
         raise InvalidInputError("zero amplitude in code file")
     return amp

@@ -71,6 +71,8 @@ class TailOrbit:
 
 
 def canonical_representative(u: Sequence[int]) -> OccupationVector:
+    if not u:
+        raise InvalidInputError("empty occupation vector")
     return (u[0],) + tuple(sorted(u[1:], reverse=True))
 
 

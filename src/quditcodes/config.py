@@ -14,6 +14,7 @@ from typing import Optional
 from .arith import InvalidInputError
 
 ENV_VAR = "QECC_CONFIG"
+MODES = ("exact", "float")
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class Config:
 
 def check_mode(mode: str, tolerance: float) -> None:
     """Refuse a mode but exact or float, and a tolerance outside (0, 1e-3]."""
-    if mode not in ("exact", "float"):
+    if mode not in MODES:
         raise InvalidInputError(f"mode must be exact or float, got {mode!r}")
     if type(tolerance) not in (int, float) or not 0 < tolerance <= 1e-3:
         raise InvalidInputError(

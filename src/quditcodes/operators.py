@@ -128,6 +128,25 @@ def generator_action(op: ErrorOperator, u: OccupationVector
     return terms
 
 
+OrbitImage = Dict[OccupationVector, Tuple[int, int]]
+
+
+def orbit_image(op: ErrorOperator, members: Iterable[OccupationVector]
+                ) -> OrbitImage:
+    """op|S_u> summed over `members`: each target v mapped to its nonzero
+    Gaussian-integer coefficient (re, im), read off `generator_action`."""
+    out: Dict[OccupationVector, List[int]] = {}
+    for u in members:
+        for v, re, im in generator_action(op, u):
+            z = out.get(v)
+            if z is None:
+                out[v] = [re, im]
+            else:
+                z[0] += re
+                z[1] += im
+    return {v: (re, im) for v, (re, im) in out.items() if re or im}
+
+
 def _check_fits(op: ErrorOperator, d: int) -> None:
     """Refuse an operator whose action reads a count outside u[0..d-1]:
     D(l) reads u[l] and u[l+1], and S(j,k) and A(j,k) read u[j] and u[k].
@@ -195,9 +214,9 @@ def check_conjugation_identity(d: int, N: int, identity: str,
     on the (v, re, im) terms of `generator_action`.
 
     The shift identities state that conjugating S(j,k), A(j,k), or D(l) by
-    the logical shift decrements every index mod d: the action on
-    cyclic_shift(u, 1), shifted back by -1, must equal the decremented
-    operator's action on u.  The clock identity multiplies the term of
+    the logical shift decrements every index mod d: the `orbit_image` of
+    cyclic_shift(u, 1) relabeled by -1 must equal the decremented, signed
+    operator's `orbit_image` of u.  The clock identity multiplies the term of
     S(j,k)|S_u> that gains at j by zeta**(k-j) and the other by
     zeta**(j-k): each term's weight drop from u must be that exponent.
     """
@@ -223,9 +242,13 @@ def check_conjugation_identity(d: int, N: int, identity: str,
         else:
             j, k = indices if indices else (1, 2)
             op = ErrorOperator("S" if identity == "x_dagger_s_x" else "A", j, k)
-        lhs = _summed(op, cyclic_shift(u, 1), shift=-1)
+        _check_fits(op, len(u))
         image, sign = _decremented(op, d)
-        if lhs != _summed(image, u, sign):
+        _check_fits(image, len(u))
+        lhs = orbit_image(op, [cyclic_shift(u, 1)]).items()
+        rhs = orbit_image(image, [u]).items()
+        if ({cyclic_shift(v, -1): z for v, z in lhs}
+                != {v: (sign * re, sign * im) for v, (re, im) in rhs}):
             return False, {"u": u, "identity": identity}
     return True, None
 
@@ -238,16 +261,3 @@ def _decremented(op: ErrorOperator, d: int) -> Tuple[ErrorOperator, int]:
     a, b = (op.j - 1) % d, (op.k - 1) % d
     return (ErrorOperator(op.kind, min(a, b), max(a, b)),
             -1 if op.kind == "A" and a > b else 1)
-
-
-def _summed(op: ErrorOperator, u: OccupationVector, sign: int = 1,
-            shift: int = 0) -> Dict[OccupationVector, Tuple[int, int]]:
-    """sign * op|S_u>, relabeled by cyclic_shift(., shift), as a dict of
-    nonzero Gaussian integers (re, im) summed over equal targets."""
-    _check_fits(op, len(u))
-    out: Dict[OccupationVector, Tuple[int, int]] = {}
-    for v, re, im in generator_action(op, u):
-        v = cyclic_shift(v, shift)
-        a, b = out.get(v, (0, 0))
-        out[v] = (a + sign * re, b + sign * im)
-    return {v: z for v, z in out.items() if z != (0, 0)}

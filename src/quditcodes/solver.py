@@ -88,11 +88,11 @@ def _qf_entry(u: OccupationVector, d: int, N: int
 
 
 def _qf_column(rep: OccupationVector) -> Tuple[int, int, int]:
-    """One orbit's entries in the three rows of `build_qf_system`.
-
-    Averaged over the tail orbit, every column satisfies
-    (2N+d)*c[0] - 2*c[1] + d*c[2] = 0.  c[1] is still summed on its own,
-    so the identity stays a fact that the tests check, not an assumption.
+    """One orbit's entries in the three rows of `build_qf_system`, from
+    closed forms of D(d-2)'s eigenvalue and S(0,1)'s image norm that the
+    tests tie to `generator_action`.  c[1] is summed on its own, so that
+    every column satisfies (2N+d)*c[0] - 2*c[1] + d*c[2] = 0 stays a fact
+    the tests check, not an assumption.
     """
     d = len(rep)
 

@@ -31,7 +31,7 @@ from .codes import Code, validate
 from .combinatorics import (OccupationVector, basis_norm, cyclic_shift,
                             distinct_orbit_keys, expand_orbit)
 from .config import Config, check_mode, check_scale
-from .operators import ErrorOperator, error_basis, generator_action
+from .operators import ErrorOperator, OrbitImage, error_basis, orbit_image
 
 # Exact elements, or their complex values in float mode.
 Amplitude = Union[ExactComplex, complex]
@@ -107,9 +107,6 @@ class KLReport:
         }
 
 
-# One operator applied to the members of one orbit in one code word:
-# occupation vector -> Gaussian integer (re, im), with no zero entries.
-OrbitImage = Dict[OccupationVector, Tuple[int, int]]
 # The element <i|Ea Eb|j> of operators a, b out of n at dimension d has the
 # key ((a*n + b)*d + i)*d + j: the left part a*n*d*d + i*d of image (a, i)
 # plus the right part b*d*d + j of image (b, j).  An orbit index maps each
@@ -131,7 +128,7 @@ class PairTables:
     whichever code the orbits sit in.  A pair table records an element key
     whenever the two images share a vector, even when the sum is 0, so a key
     absent from every table of a code is a structural zero.  Orbits are
-    keyed by canonical representative and built from `generator_action` on
+    keyed by canonical representative and built from `orbit_image` on
     first use, unless `add_images` supplied them; `search` keeps one
     instance for the length of a call, every other caller one per check.
     Beside each table, `flips_couple` keeps its flip-coupling verdict.
@@ -162,7 +159,7 @@ class PairTables:
         if rep not in self._indexes:
             words = [[cyclic_shift(m, i) for m in expand_orbit(rep)]
                      for i in range(self.d)]
-            self.add_images(rep, [[_orbit_image(op, word) for word in words]
+            self.add_images(rep, [[orbit_image(op, word) for word in words]
                                   for op in self.ops])
         return self._indexes[rep]
 
@@ -210,20 +207,6 @@ def flips_couple(code: Code, tables: PairTables) -> bool:
     """
     keys = distinct_orbit_keys(code.support_representatives(), "code")
     return any(tables.flips_couple(ko, kp) for _, ko, kp in _orbit_pairs(keys))
-
-
-def _orbit_image(op: ErrorOperator, members: Sequence[OccupationVector]
-                 ) -> OrbitImage:
-    out: Dict[OccupationVector, List[int]] = {}
-    for u in members:
-        for v, re, im in generator_action(op, u):
-            z = out.get(v)
-            if z is None:
-                out[v] = [re, im]
-            else:
-                z[0] += re
-                z[1] += im
-    return {v: (re, im) for v, (re, im) in out.items() if re or im}
 
 
 def _join(left: OrbitIndex, right: OrbitIndex) -> PairTable:
@@ -464,10 +447,9 @@ def kl_reduced(code: Code, mode: str = "exact",
     off_diagonal = [(i, j) for i in range(d) for j in range(d) if i != j]
     for n in range(1, (d - 1) // 2 + 1):
         gram.check(identity, index[ErrorOperator("S", 0, n)], off_diagonal)
-    flips = [index[ErrorOperator(kind, p, q)]
-             for kind in ("S", "A") for p in range(d) for q in range(p + 1, d)]
+    flips = [n for n, op in enumerate(basis) if op.kind in ("S", "A")]
     pairs = [(ea, eb) for ea in flips for eb in flips] + [(identity, last)] + \
-        [(index[ErrorOperator("D", l)], last) for l in range(d - 1)]
+        [(n, last) for n, op in enumerate(basis) if op.kind == "D"]
     cells = _cells_but_origin(d)
     for ea, eb in pairs:
         gram.check(ea, eb, cells)

@@ -102,8 +102,16 @@ def qutrit13_file(tmp_path, keys, value):
     (("orbits", 1, "representative"), [4, "x", 0]),
     (("orbits", 1, "representative"), [4, 9]),
     (("d",), 4),
+    (("orbits", 0, "amplitude", "coeff"), [True, 9]),
+    (("orbits", 0, "amplitude", "coeff"), ["1"]),
+    (("orbits", 0, "amplitude", "coeff"), [1]),
+    (("orbits", 0, "amplitude", "radicand"), [True, 1]),
+    (("orbits", 0, "amplitude", "radicand"), ["13"]),
+    (("orbits", 0, "amplitude", "radicand"), [5]),
 ], ids=["coeff-denominator-0", "radicand-denominator-0", "non-integer-entry",
-        "short-representative", "even-d"])
+        "short-representative", "even-d", "coeff-boolean", "coeff-string",
+        "coeff-one-entry", "radicand-boolean", "radicand-string",
+        "radicand-one-entry"])
 def test_check_malformed_code_file_exits_2(tmp_path, capsys, keys, value):
     status, payload = run(capsys, "check",
                           "--code", qutrit13_file(tmp_path, keys, value))

@@ -189,12 +189,16 @@ def test_file_format_restricts_amplitude_shape():
 
 
 def qutrit13_with(**edits):
-    """qutrit13's JSON with the given top-level keys or, under `rep`, the
-    first representative replaced."""
+    """qutrit13's JSON with the given top-level keys, or under `rep`,
+    `coeff` and `radicand` the first orbit's entries, replaced."""
     data = code_to_json(shipped_code("qutrit13"))
+    first = data["orbits"][0]
     rep = edits.pop("rep", None)
     if rep is not None:
-        data["orbits"][0]["representative"] = rep
+        first["representative"] = rep
+    for key in ("coeff", "radicand"):
+        if key in edits:
+            first["amplitude"][key] = edits.pop(key)
     data.update(edits)
     return data
 
@@ -202,8 +206,13 @@ def qutrit13_with(**edits):
 @pytest.mark.parametrize("edits", [
     {"rep": [13.9, 0.5, 0]}, {"rep": [12.5, 0.5, 0]}, {"rep": ["13", 0, 0]},
     {"rep": [True, 12, 0]}, {"d": 3.5}, {"N": 13.2}, {"eta": 1.5},
+    {"coeff": [True, 1]}, {"coeff": ["1"]}, {"coeff": [1]},
+    {"coeff": [1, 9, 1]}, {"coeff": [1.5, 9]}, {"radicand": [True, 1]},
+    {"radicand": ["13"]}, {"radicand": [5]}, {"radicand": [41, "5"]},
 ], ids=["truncating-floats", "summing-floats", "string", "boolean", "d",
-        "N", "eta"])
+        "N", "eta", "coeff-boolean", "coeff-string", "coeff-one-entry",
+        "coeff-three-entries", "coeff-fraction", "radicand-boolean",
+        "radicand-string", "radicand-one-entry", "radicand-string-entry"])
 def test_non_integral_numbers_are_refused(edits):
     with pytest.raises(InvalidInputError, match="expected an integer"):
         code_from_json(qutrit13_with(**edits))
@@ -212,6 +221,7 @@ def test_non_integral_numbers_are_refused(edits):
 def test_integral_floats_are_read_as_integers():
     # JSON does not tell 13 from 13.0, so an integral float loads as the
     # integer it spells.
-    code = code_from_json(qutrit13_with(rep=[13.0, 0.0, 0], d=3.0, N=13.0))
+    code = code_from_json(qutrit13_with(rep=[13.0, 0.0, 0], d=3.0, N=13.0,
+                                        coeff=[1.0, 9.0], radicand=[41.0, 5]))
     assert code == shipped_code("qutrit13")
     assert all(type(x) is int for x in code.orbits[0].representative)

@@ -99,6 +99,9 @@ def test_mixed_flip_phases():
 def test_apply_generator_rejects_out_of_range():
     with pytest.raises(InvalidInputError):
         apply_generator(ErrorOperator("S", 0, 5), StateVector.basis((1, 1, 1)))
+    with pytest.raises(InvalidInputError,
+                       match="^unknown operator kind 'X'$"):
+        apply_generator(ErrorOperator("X", 0, 1), StateVector.basis((1, 1, 1)))
 
 
 def test_logical_x_relabels():
@@ -130,6 +133,14 @@ def test_inner_product_conjugates_first_argument():
     phi = psi.scaled(ExactComplex.I)
     assert inner_product(phi, psi) == ExactComplex.of(2).times_i(-1)
     assert inner_product(psi, phi) == ExactComplex.of(2).times_i(1)
+
+
+@pytest.mark.parametrize("v", [(1, 1, 0), (1, 1, 1, 0, 0)],
+                         ids=["other-N", "other-d"])
+def test_inner_product_refuses_vectors_from_different_spaces(v):
+    with pytest.raises(InvalidInputError,
+                       match="^state vectors live in different spaces$"):
+        inner_product(StateVector.basis((1, 1, 1)), StateVector.basis(v))
 
 
 def test_different_weight_vectors_are_orthogonal():
@@ -222,6 +233,29 @@ def test_clock_identity_reads_generator_action(monkeypatch):
                               ("z_dagger_s_z", (1, 3))):
         assert check_conjugation_identity(5, 7, identity, [],
                                           indices) == (True, None)
+
+
+def test_shift_identities_read_generator_action(monkeypatch):
+    # Negative control: A(0,1)'s term that gains at 0 changes sign, so the
+    # right side of X^dagger A(1,2) X = A(0,1) no longer matches the left
+    # on any u with u[1] > 0.  The shift check must see it.
+    honest = operators.generator_action
+
+    def flipped(op, u):
+        return [(v, re, -im if op == ErrorOperator("A", 0, 1)
+                 and v[0] > u[0] else im) for v, re, im in honest(op, u)]
+
+    vectors = random_occupations(random.Random(7), 5, 7, 100)
+    monkeypatch.setattr(operators, "generator_action", flipped)
+    ok, witness = check_conjugation_identity(5, 7, "x_dagger_a_x", vectors,
+                                             (1, 2))
+    assert not ok
+    assert set(witness) == {"u", "identity"}
+    assert witness == {"u": next(v for v in vectors if v[1] > 0),
+                       "identity": "x_dagger_a_x"}
+    monkeypatch.undo()
+    assert check_conjugation_identity(5, 7, "x_dagger_a_x", vectors,
+                                      (1, 2)) == (True, None)
 
 
 # Each operator with the count it reads outside u[0..2] at d = 3: D(2)

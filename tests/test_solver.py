@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from quditcodes import combinatorics, solver
 from quditcodes.arith import InvalidInputError, RadicalSum
 from quditcodes.codes import Code, OrbitAmplitude, validate
-from quditcodes.operators import basis_norm, error_basis
+from quditcodes.operators import (ErrorOperator, basis_norm, error_basis,
+                                  generator_action)
 from quditcodes.combinatorics import (cyclic_shift, expand_orbit,
                                       is_effectively_sparse,
                                       iter_support_representatives,
@@ -150,6 +151,42 @@ def test_columns_satisfy_the_rank_two_identity(rep):
     d, N = len(rep), sum(rep)
     c = solver._qf_column(rep)
     assert (2 * N + d) * c[0] - 2 * c[1] + d * c[2] == 0
+
+
+def column_from_generator_action(rep):
+    """`_qf_column` from its definition: per member w and its last-word
+    image w' = cyclic_shift(w, d-1), <D(d-2)> at w', <D(d-2)**2> at w
+    minus w', and <S(0,1)**2> at w minus w', each expectation
+    <S_w|E|S_w>/<S_w|S_w> summed from `generator_action` terms."""
+    d = len(rep)
+    phase, flip = ErrorOperator("D", d - 2), ErrorOperator("S", 0, 1)
+
+    def mean(op, w):
+        return sum(re for v, re, _ in generator_action(op, w) if v == w)
+
+    def mean_sq(op, w):  # <S_w|E E|S_w> = |E|S_w>|**2, E Hermitian
+        return Fraction(sum((re * re + im * im) * basis_norm(v)
+                            for v, re, im in generator_action(op, w)),
+                        basis_norm(w))
+
+    column = [0, 0, 0]
+    for w in expand_orbit(rep):
+        last = cyclic_shift(w, d - 1)
+        column[0] += mean(phase, last)
+        column[1] += mean_sq(phase, w) - mean_sq(phase, last)
+        column[2] += mean_sq(flip, w) - mean_sq(flip, last)
+    return tuple(column)
+
+
+@pytest.mark.parametrize("d, N", [(3, 16), (5, 21), (7, 27), (5, 22), (9, 29)])
+def test_qf_columns_match_generator_action(d, N):
+    # `_qf_column` keeps closed forms for D(d-2)'s eigenvalue and S(0,1)'s
+    # image norm, since reading them through `generator_action` costs ten
+    # times as much; this ties the forms to the one copy of the action.
+    reps = list(iter_support_representatives(d, N))
+    assert reps
+    for rep in reps:
+        assert solver._qf_column(rep) == column_from_generator_action(rep), rep
 
 
 def test_system_to_json():

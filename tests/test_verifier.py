@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from quditcodes.arith import ExactComplex, InvalidInputError, RadicalSum
-from quditcodes.codes import Code, OrbitAmplitude, code_from_json, validate
+from quditcodes.codes import (Code, OrbitAmplitude, code_from_json, codeword,
+                              validate)
 from quditcodes.combinatorics import (iter_support_representatives,
                                       support_is_sparse)
 from quditcodes.operators import basis_norm, error_basis
@@ -187,6 +188,22 @@ def test_checks_refuse_a_code_that_lists_one_orbit_twice(check):
 def test_checks_refuse_an_empty_code(check):
     with pytest.raises(InvalidInputError, match="^code is empty$"):
         check(Code(3, 13, 1, ()))
+
+
+@pytest.mark.parametrize("read", [
+    kl_full, kl_reduced, qf_check, dense_kl,
+    lambda code: codeword(code, 0),
+    lambda code: flips_couple(code, PairTables(3, error_basis(3))),
+    lambda code: build_qf_system(3, 13, code.support_representatives()),
+], ids=["kl_full", "kl_reduced", "qf_check", "dense_kl", "codeword",
+        "flips_couple", "build_qf_system"])
+def test_readers_refuse_an_empty_representative(read):
+    # Only the API can list (): `check_occupation` refuses a short
+    # representative in a code file.  Every reader keys orbits by
+    # `canonical_representative`, which refuses it.
+    code = Code(3, 13, 1, (OrbitAmplitude((), RadicalSum.of(1)),))
+    with pytest.raises(InvalidInputError, match="^empty occupation vector$"):
+        read(code)
 
 
 def test_reduced_check_agrees_with_full_on_corpus(corpus):
