@@ -24,7 +24,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import (AbstractSet, Dict, FrozenSet, Hashable, List, Optional,
+                    Sequence, Tuple, Union)
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum
 from .codes import Code, validate
@@ -185,6 +186,12 @@ class PairTables:
         return verdict
 
     @cached_property
+    def name_pairs(self) -> List[Tuple[str, str]]:
+        """(name of a, name of b) for every ordered operator pair, in the
+        order a*len(ops) + b."""
+        return [(e, f) for e in self.names for f in self.names]
+
+    @cached_property
     def _flip_pairs(self) -> frozenset:
         """a * len(ops) + b for every two operators a, b from {I, S(j,k)}."""
         n = len(self.ops)
@@ -276,6 +283,12 @@ class _Gram:
     distinct sums vector, and a key in no table is a structural zero that
     never reaches the arithmetic.  Elements share few sums vectors, so each
     distinct one is evaluated (and decided zero or not) once per code.
+    Its projection onto the radicand rows of `_radicals`, a tuple of
+    integers, fixes the value exactly (distinct square-free radicands are
+    independent over Q): two elements are equal exactly when their
+    projections, their value classes, are, and the value itself is built
+    once per class and only when a report holds it (in float mode, also
+    when the tolerance needs it).
     """
 
     def __init__(self, code: Code, level: str, mode: str, tolerance: float,
@@ -284,11 +297,14 @@ class _Gram:
         check_mode(mode, tolerance)
         d = self.d = tables.d
         self.n = len(tables.ops)
+        self.tables = tables
         self.names = tables.names
         self.report = KLReport(level, mode, tolerance)
         self.float_mode = mode == "float"
         self.zero: Amplitude = complex(0.0) if self.float_mode else ExactComplex.ZERO
         self.denominator, self.radicals = _radicals(code)
+        # The class of zero, that of every structural zero.
+        self._zero_class = (0,) * (2 * len(self.radicals))
 
         size = 2 * len(keys) ** 2
         sums: Dict[int, List[int]] = {}
@@ -300,9 +316,10 @@ class _Gram:
                 acc[2 * slot] = re
                 acc[2 * slot + 1] = im
         # Per operator pair a*n + b, each cell i*d + j that some image pair
-        # shares -> the id of its sums vector; `_values[id]` is (value, is
-        # zero) once evaluated.  A cell absent from its pair's dict is a
-        # structural zero.
+        # shares -> the id of its sums vector; `_classes[id]` is (value
+        # class, is zero) once evaluated, and `_values` maps a class to its
+        # value.  A cell absent from its pair's dict is a structural zero,
+        # and a pair absent from `cells` has no shared cell at all.
         ids: Dict[tuple, int] = {}
         self.cells: Dict[int, Dict[int, int]] = {}
         for key, acc in sums.items():
@@ -310,63 +327,55 @@ class _Gram:
             self.cells.setdefault(pair, {})[cell] = ids.setdefault(tuple(acc),
                                                                    len(ids))
         self._sums = list(ids)
-        self._values: List[Optional[Tuple[Amplitude, bool]]] = [None] * len(ids)
-        self._differences: Dict[Tuple[int, int], bool] = {}
+        self._classes: List[Optional[Tuple[tuple, bool]]] = [None] * len(ids)
+        self._values: Dict[tuple, Amplitude] = {self._zero_class: self.zero}
 
-    def _combine(self, sums: Sequence[int]) -> RadicalSum:
-        """sum_n alpha_o alpha_p * sums[n] over the products n = (o, p),
-        exactly: the real or imaginary part of an element."""
-        terms = {}
-        for r, numerators in self.radicals:
-            total = sum(map(operator.mul, numerators, sums))
-            if total:
-                terms[r] = Fraction(total, self.denominator)
-        return RadicalSum(terms)
+    def _project(self, sums: Sequence[int]) -> Tuple[int, ...]:
+        """The dot product of `sums` with each radicand's numerators: the
+        real or imaginary part of an element, sum_n alpha_o alpha_p *
+        sums[n] over the products n = (o, p), times the denominator."""
+        return tuple(sum(map(operator.mul, numerators, sums))
+                     for _, numerators in self.radicals)
 
-    def is_zero(self, value: Amplitude) -> bool:
-        if isinstance(value, ExactComplex):
-            return value.is_zero()
-        return abs(value) <= self.report.tolerance
+    def _combine(self, totals: Sequence[int]) -> RadicalSum:
+        return RadicalSum({r: Fraction(total, self.denominator)
+                           for (r, _), total in zip(self.radicals, totals)
+                           if total})
 
-    def _value(self, sid: int) -> Tuple[Amplitude, bool]:
-        """(value, is zero) of the elements with sums id `sid`, counted as
-        one more arithmetic zero when it is zero.  Every basis element is
-        Hermitian, so <i|Ea Eb|j> is (Ea|i>, Eb|j>)."""
-        known = self._values[sid]
+    def _class(self, sid: int) -> Tuple[tuple, bool]:
+        """(value class, is zero) of the elements with sums id `sid`."""
+        known = self._classes[sid]
         if known is None:
             sums = self._sums[sid]
-            value = ExactComplex(self._combine(sums[0::2]),
-                                 self._combine(sums[1::2]))
-            if self.float_mode:
-                value = value.to_complex()
-            known = self._values[sid] = (value, self.is_zero(value))
-        if known[1]:
-            self.report.arithmetic_zeros += 1
+            key = self._project(sums[0::2]) + self._project(sums[1::2])
+            zero = (abs(self._value(key)) <= self.report.tolerance
+                    if self.float_mode else not any(key))
+            known = self._classes[sid] = (key, zero)
         return known
 
-    def _agrees(self, sid: int, zero: bool, cid: Optional[int]) -> bool:
-        """Whether value - constant is zero, for an element given by its
-        sums id and zero verdict and a constant given by its sums id (None
-        for a structural zero)."""
-        if sid == cid:
-            return True
-        if cid is None:
-            # A structural zero drops out of the difference.
-            return zero
-        agrees = self._differences.get((sid, cid))
-        if agrees is None:
-            agrees = self._differences[(sid, cid)] = self.is_zero(
-                self._values[sid][0] - self._values[cid][0])
-        return agrees
+    def _value(self, key: tuple) -> Amplitude:
+        """The value of class `key`.  Every basis element is Hermitian, so
+        <i|Ea Eb|j> is (Ea|i>, Eb|j>)."""
+        value = self._values.get(key)
+        if value is None:
+            half = len(self.radicals)
+            value = ExactComplex(self._combine(key[:half]),
+                                 self._combine(key[half:]))
+            if self.float_mode:
+                value = value.to_complex()
+            self._values[key] = value
+        return value
 
-    def check(self, a: int, b: int, cells: Sequence[Tuple[int, int]],
-              ref: Tuple[int, int] = (0, 0), vanish: bool = False) -> None:
+    def check(self, a: int, b: int, cells: AbstractSet[int], ref: int = 0,
+              vanish: bool = False) -> None:
         """The one KL rule every level applies to an operator pair, given
         by indices into the operator list.
 
-        <ref|Ea Eb|ref> is recorded as the pair's constant, which must be
-        zero when `vanish` is set; then each cell (i, j) must vanish off the
-        diagonal and equal the constant on it.
+        <ref|Ea Eb|ref> (ref a flat cell i*d + j) is recorded as the
+        pair's constant, which must be zero when `vanish` is set; then each
+        flat cell i*d + j in `cells` must vanish off the diagonal and equal
+        the constant on it.  Only the cells the pair's images share are
+        visited; the rest are structural zeros.
         """
         name = (self.names[a], self.names[b])
         d = self.d
@@ -379,41 +388,64 @@ class _Gram:
             report.structural_zeros += 1 + len(cells)
             report.constants[name] = self.zero
             return
-        cid = ids.get(ref[0] * d + ref[1])
+        cid = ids.get(ref)
         if cid is None:
             report.structural_zeros += 1
-            constant, constant_zero = self.zero, True
+            ckey, constant_zero = self._zero_class, True
         else:
-            constant, constant_zero = self._value(cid)
-        report.constants[name] = constant
+            ckey, constant_zero = self._class(cid)
+            report.arithmetic_zeros += constant_zero
+        constant = report.constants[name] = self._value(ckey)
         if vanish and not constant_zero:
-            report.violations.append(Violation(*name, *ref, constant))
-        for i, j in cells:
-            sid = ids.get(i * d + j)
-            if sid is None:
-                # Zero whatever the amplitudes: a violation only where it
-                # must equal a nonzero constant.
-                report.structural_zeros += 1
-                if i == j and not constant_zero:
-                    report.violations.append(Violation(*name, i, j, self.zero))
+            report.violations.append(Violation(*name, *divmod(ref, d),
+                                               constant))
+        classes, float_mode = self._classes, self.float_mode
+        visited = zeros = 0
+        for cell, sid in ids.items():
+            if cell not in cells:
                 continue
-            value, zero = self._value(sid)
-            if i == j:
-                zero = self._agrees(sid, zero, cid)
-            if not zero:
-                report.violations.append(Violation(*name, i, j, value))
+            visited += 1
+            key, zero = classes[sid] or self._class(sid)
+            zeros += zero
+            # cell % (d + 1) is 0 exactly on the diagonal i == j, where the
+            # element must equal the constant: exactly when the classes
+            # are equal, or in float mode within the tolerance.
+            if cell % (d + 1):
+                if zero:
+                    continue
+            elif key == ckey or (float_mode and abs(
+                    self._value(key) - constant) <= report.tolerance):
+                continue
+            report.violations.append(Violation(*name, *divmod(cell, d),
+                                               self._value(key)))
+        report.arithmetic_zeros += zeros
+        report.structural_zeros += len(cells) - visited
+        if not constant_zero:
+            # A diagonal structural zero is zero whatever the amplitudes,
+            # so it violates a nonzero constant.
+            for i in range(d):
+                cell = i * (d + 1)
+                if cell in cells and cell not in ids:
+                    report.violations.append(Violation(*name, i, i,
+                                                       self.zero))
 
     def check_all_pairs(self) -> KLReport:
-        """`check` of every cell but (0, 0) over all ordered operator pairs."""
+        """`check` of every cell but (0, 0) over all ordered operator
+        pairs.  A pair absent from `cells` is booked at once: its constant
+        is 0 and its d*d elements are structural zeros."""
+        report = self.report
+        report.constants = dict.fromkeys(self.tables.name_pairs, self.zero)
+        absent = (self.n ** 2 - len(self.cells)) * self.d ** 2
+        report.checked_elements += absent
+        report.structural_zeros += absent
         cells = _cells_but_origin(self.d)
-        for a in range(self.n):
-            for b in range(self.n):
-                self.check(a, b, cells)
-        return self.report
+        for pair in sorted(self.cells):
+            self.check(*divmod(pair, self.n), cells)
+        return report
 
 
-def _cells_but_origin(d: int) -> List[Tuple[int, int]]:
-    return [(i, j) for i in range(d) for j in range(d) if i or j]
+def _cells_but_origin(d: int) -> FrozenSet[int]:
+    return frozenset(range(1, d * d))
 
 
 def kl_full(code: Code, mode: str = "exact",
@@ -444,7 +476,7 @@ def kl_reduced(code: Code, mode: str = "exact",
     index = {op: n for n, op in enumerate(basis)}
     gram = _Gram(code, "reduced", mode, tolerance, PairTables(d, basis))
     identity, last = index[ErrorOperator("I")], index[ErrorOperator("D", d - 2)]
-    off_diagonal = [(i, j) for i in range(d) for j in range(d) if i != j]
+    off_diagonal = frozenset(cell for cell in range(d * d) if cell % (d + 1))
     for n in range(1, (d - 1) // 2 + 1):
         gram.check(identity, index[ErrorOperator("S", 0, n)], off_diagonal)
     flips = [n for n, op in enumerate(basis) if op.kind in ("S", "A")]
@@ -474,10 +506,10 @@ def qf_check(code: Code, mode: str = "exact",
     ops = (ErrorOperator("I"), ErrorOperator("D", d - 2), ErrorOperator("S", 0, 1))
     gram = _Gram(code, "qf", mode, tolerance, PairTables(d, ops))
     identity, last, flip = range(3)
-    corner = (d - 1, d - 1)
-    gram.check(identity, last, [], ref=corner, vanish=True)
-    gram.check(last, last, [corner])
-    gram.check(flip, flip, [corner])
+    corner = d * d - 1  # the cell (d-1, d-1)
+    gram.check(identity, last, frozenset(), ref=corner, vanish=True)
+    gram.check(last, last, {corner})
+    gram.check(flip, flip, {corner})
     return gram.report
 
 

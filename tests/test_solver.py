@@ -512,6 +512,21 @@ def test_family_discrepancy_note():
         assert payload["d"] == d
 
 
+def test_family_amplitudes_follow_closed_forms_in_d():
+    # xi = alpha^2 * multinomial(N; u) per orbit.  xi_a and xi_b are the
+    # published forms; xi_c is what normalization leaves, xi_a +
+    # (d - 1) * xi_b + xi_c = 1, as the middle orbit has d - 1 members.
+    for d in range(5, 41, 2):
+        _, note = family_code(d)
+        xi = tuple(a * basis_norm(u)
+                   for a, u in zip(note.solved_alpha_sq, family_support(d)))
+        assert xi == (
+            Fraction(d ** 3 - 5 * d ** 2 + d - 1, 2 * d ** 3 * (d - 3)),
+            Fraction((d - 1) ** 3, 2 * d ** 3 * (d - 3)),
+            Fraction(d ** 2 - 1, 2 * d ** 2)), d
+        assert xi[0] + (d - 1) * xi[1] + xi[2] == 1
+
+
 # ---------------------------------------------------------------------------
 # search
 

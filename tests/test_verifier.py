@@ -1,5 +1,7 @@
 import itertools
+import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -10,9 +12,10 @@ from quditcodes.combinatorics import (iter_support_representatives,
                                       support_is_sparse)
 from quditcodes.operators import basis_norm, error_basis
 from quditcodes.oracle import dense_kl
-from quditcodes.solver import build_qf_system, family_code, solve_system
-from quditcodes.verifier import (PairTables, flips_couple, kl_full,
-                                 kl_reduced, qf_check, run_level)
+from quditcodes.solver import (build_qf_system, family_code, search,
+                               solve_system)
+from quditcodes.verifier import (PairTables, Violation, _Gram, flips_couple,
+                                 kl_full, kl_reduced, qf_check, run_level)
 
 from conftest import (DUPLICATE_ORBIT_MESSAGE, duplicate_orbit_json,
                       reports_identical)
@@ -103,6 +106,141 @@ def test_shared_tables_keep_each_codes_own_report(corpus):
     assert reports_identical(first, kl_full(code))
     assert reports_identical(second, kl_full(tampered))
     assert not reports_identical(first, second)
+
+
+# ---------------------------------------------------------------------------
+# the element loop against a plain loop over every cell
+
+
+def reference_check(gram, a, b, cells, ref=0, vanish=False):
+    """`_Gram.check` as a plain loop: every cell of the pair in turn, and
+    each diagonal agreement decided by subtracting the constant from the
+    value."""
+    d, report = gram.d, gram.report
+    name = (gram.names[a], gram.names[b])
+    ids = gram.cells.get(a * gram.n + b, {})
+
+    def is_zero(value):
+        if isinstance(value, ExactComplex):
+            return value.is_zero()
+        return abs(value) <= report.tolerance
+
+    def element(cell):
+        report.checked_elements += 1
+        sid = ids.get(cell)
+        if sid is None:
+            report.structural_zeros += 1
+            return gram.zero, True
+        value = gram._value(gram._class(sid)[0])
+        zero = is_zero(value)
+        report.arithmetic_zeros += zero
+        return value, zero
+
+    constant, constant_zero = element(ref)
+    report.constants[name] = constant
+    if vanish and not constant_zero:
+        report.violations.append(Violation(*name, *divmod(ref, d), constant))
+    for cell in sorted(cells):
+        i, j = divmod(cell, d)
+        value, zero = element(cell)
+        if i == j:
+            zero = is_zero(value - constant)
+        if not zero:
+            report.violations.append(Violation(*name, i, j, value))
+
+
+def reference_check_all_pairs(gram):
+    for a in range(gram.n):
+        for b in range(gram.n):
+            reference_check(gram, a, b, set(range(1, gram.d ** 2)))
+    return gram.report
+
+
+LOOP_LEVELS = {"full": kl_full, "reduced": kl_reduced, "qf": qf_check}
+
+
+def assert_loop_matches_reference(monkeypatch, code, mode):
+    """Every level that accepts `code` gives the report of the plain loop,
+    and counts as checked but not structural exactly the cells its
+    operator pairs share (the only cells the engine visits)."""
+    check = _Gram.check
+    visits = []
+
+    def counted(gram, a, b, cells, ref=0, vanish=False):
+        ids = gram.cells.get(a * gram.n + b, {})
+        visits.append((ref in ids) + len(ids.keys() & cells))
+        check(gram, a, b, cells, ref, vanish)
+
+    for level, run in LOOP_LEVELS.items():
+        if level == "qf" and not validate(code).passed:
+            continue
+        visits.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(_Gram, "check", counted)
+            report = run(code, mode, max_n=128)
+        # Operator pairs that `check_all_pairs` books at once share no cell.
+        assert report.checked_elements - report.structural_zeros == \
+            sum(visits), (level, mode)
+        with monkeypatch.context() as patch:
+            patch.setattr(_Gram, "check", reference_check)
+            patch.setattr(_Gram, "check_all_pairs", reference_check_all_pairs)
+            reference = run(code, mode, max_n=128)
+        assert reports_identical(report, reference), (level, mode)
+
+
+def loop_code(corpus, name):
+    if name == "tampered":
+        return tampered_qutrit(corpus["qutrit13"])
+    if name.startswith("family"):
+        return family_code(int(name[len("family"):]))[0]
+    if name == "one_orbit":
+        # |4,0,0> and its shifts: pairs such as (D(0), D(0)) have a nonzero
+        # constant and diagonal cells that are structural zeros.
+        return Code(3, 4, 1, (OrbitAmplitude((4, 0, 0), RadicalSum.of(1)),))
+    return corpus[name]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", [
+    "qutrit13", "c2_d5_n16", "c3_d7_n36", "c4_d7_n20_eta6", "tampered",
+    "family5", "family7", "family9", "one_orbit"])
+def test_element_loop_matches_every_cell_reference(monkeypatch, corpus, name,
+                                                   mode):
+    assert_loop_matches_reference(monkeypatch, loop_code(corpus, name), mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("d, N, k, found", [
+    (3, 16, 3, 23), (5, 21, 3, 24), (7, 27, 3, 0), (5, 22, 3, 42)])
+def test_element_loop_matches_reference_on_search_codes(monkeypatch, d, N, k,
+                                                        found, mode):
+    codes = search(d, N, k).codes
+    assert len(codes) == found
+    for code in codes:
+        assert_loop_matches_reference(monkeypatch, code, mode)
+
+
+def perturbed_c2(coeff):
+    """c2_d5_n16 with its first orbit's amplitude coefficient replaced."""
+    data = json.loads(resources.files("quditcodes.data")
+                      .joinpath("c2_d5_n16.json").read_text())
+    data["orbits"][0]["amplitude"]["coeff"] = coeff
+    return code_from_json(data)
+
+
+def test_float_mode_agrees_within_tolerance_across_value_classes():
+    # 1/5 becomes (10^12 + 1) / (5 * 10^12): the diagonal elements of a
+    # pair now differ from its constant by about 4e-12, so they fall in
+    # other value classes, and only float mode's tolerance accepts them.
+    code = perturbed_c2([10 ** 12 + 1, 5 * 10 ** 12])
+    exact = kl_full(code)
+    assert not exact.passed
+    assert all(v.i == v.j for v in exact.violations)
+    assert len(exact.violations) == 139
+    floats = kl_full(code, mode="float")
+    assert floats.passed
+    assert (floats.checked_elements, floats.structural_zeros) == \
+        (exact.checked_elements, exact.structural_zeros)
 
 
 # ---------------------------------------------------------------------------
