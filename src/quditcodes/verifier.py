@@ -10,20 +10,22 @@ quadratic forms that suffice for sparse doubly permutation-invariant
 codes.  All three levels evaluate their elements with one sparse Gram
 engine, assembled per code from amplitude-free orbit-pair tables
 (`PairTables`), and decide them by one rule, `_Gram.check`, so that each
-level is a short list of `check` calls.  `flips_couple` finds on the same
-tables, without evaluating an element, codes whose positive amplitudes
-make them fail `kl_full`; `search` rejects on it before `kl_full`
-decides.
+level is a short list of `check` calls.  The tables hold only operator
+pairs a <= b, and an element is one packed integer, its value class: the
+Gram matrix is Hermitian, so each check of a < b books the mirror (b, a)
+from the conjugate classes.  `flips_couple` finds on the same tables,
+without evaluating an element, codes whose positive amplitudes make them
+fail `kl_full`; `search` rejects on it before `kl_full` decides.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain, combinations_with_replacement
 from typing import (AbstractSet, Dict, FrozenSet, Hashable, List, Optional,
                     Sequence, Tuple, Union)
 
@@ -58,6 +60,9 @@ class KLReport:
     whatever the amplitudes are.  A zero is *arithmetic* when the images
     do share a basis vector and the terms cancel for this code's
     amplitudes (exactly in exact mode, within `tolerance` in float mode).
+    The element <j|Eb Ea|i> is the conjugate of <i|Ea Eb|j>, so the
+    engine decides one of the two and books the other as its mirror; both
+    are counted, and each keeps its own constant and violations.
     """
 
     level: str
@@ -74,8 +79,8 @@ class KLReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        # `_Gram` hands out one value object per distinct sums vector plus
-        # one zero, so each object is rendered once, keyed by its id (stable
+        # `_Gram` hands out one value object per value class (0 being the
+        # zero), so each object is rendered once, keyed by its id (stable
         # while the report holds it).
         rendered: Dict[int, Tuple[float, float]] = {}
 
@@ -111,12 +116,16 @@ class KLReport:
 # The element <i|Ea Eb|j> of operators a, b out of n at dimension d has the
 # key ((a*n + b)*d + i)*d + j: the left part a*n*d*d + i*d of image (a, i)
 # plus the right part b*d*d + j of image (b, j).  An orbit index maps each
-# occupation vector to the entries (left, right, re, im) of the orbit's
-# images that hold it.
-OrbitIndex = Dict[OccupationVector, List[Tuple[int, int, int, int]]]
+# occupation vector to the entries (left, right, a*d*d, re, im) of the
+# orbit's images that hold it: a right part of operator b is at least
+# a*d*d exactly when b >= a.
+OrbitIndex = Dict[OccupationVector, List[Tuple[int, int, int, int, int]]]
 # Element key -> [re, im] of sum_u <S_u|S_u> conj(a(u)) b(u) over the
-# vectors u shared by the images of one ordered orbit pair.
+# vectors u shared by the images of one ordered orbit pair, for a <= b.
 PairTable = Dict[int, List[int]]
+# A pair table split by operator pair a*n + b: the largest |re| or |im| of
+# its entries, and per pair the entries (cell i*d + j, re, im).
+SplitTable = Tuple[int, Dict[int, List[Tuple[int, int, int]]]]
 
 
 class PairTables:
@@ -126,13 +135,17 @@ class PairTables:
     integers sums_op come from the images of orbits o and p alone.  So each
     orbit's images are built once (its index), and each ordered orbit
     pair's sums once (its pair table), whatever the amplitudes and
-    whichever code the orbits sit in.  A pair table records an element key
-    whenever the two images share a vector, even when the sum is 0, so a key
-    absent from every table of a code is a structural zero.  Orbits are
-    keyed by canonical representative and built from `orbit_image` on
-    first use, unless `add_images` supplied them; `search` keeps one
-    instance for the length of a call, every other caller one per check.
-    Beside each table, `flips_couple` keeps its flip-coupling verdict.
+    whichever code the orbits sit in.  A pair table holds only the keys of
+    operator pairs a <= b: the (p, o) entry of (b, a) at cell (j, i) is the
+    conjugate of the (o, p) entry of (a, b) at (i, j), so `_Gram` books
+    every b > a as a mirror.  It records an element key whenever the two
+    images share a vector, even when the sum is 0, so a key absent from
+    every table of a code is a structural zero.  Orbits are keyed by
+    canonical representative and built from `orbit_image` on first use,
+    unless `add_images` supplied them; `search` keeps one instance for the
+    length of a call, every other caller one per check.  Beside each
+    table, `flips_couple` keeps its flip-coupling verdict, and `split` the
+    layout `_Gram` reads, built on `_Gram`'s first read.
     """
 
     def __init__(self, d: int, ops: Sequence[ErrorOperator]):
@@ -141,6 +154,7 @@ class PairTables:
         self.names = [op.name() for op in self.ops]
         self._indexes: Dict[Hashable, OrbitIndex] = {}
         self._tables: Dict[Tuple[Hashable, Hashable], PairTable] = {}
+        self._splits: Dict[Tuple[Hashable, Hashable], SplitTable] = {}
         self._couples: Dict[Tuple[Hashable, Hashable], bool] = {}
 
     def add_images(self, key: Hashable,
@@ -150,10 +164,11 @@ class PairTables:
         d, n = self.d, len(self.ops)
         index: OrbitIndex = defaultdict(list)
         for a, op_images in enumerate(images):
+            floor = a * d * d
             for i, image in enumerate(op_images):
-                left, right = (a * n * d + i) * d, a * d * d + i
+                left, right = (a * n * d + i) * d, floor + i
                 for u, (re, im) in image.items():
-                    index[u].append((left, right, re, im))
+                    index[u].append((left, right, floor, re, im))
         self._indexes[key] = dict(index)
 
     def _index(self, rep: OccupationVector) -> OrbitIndex:
@@ -166,17 +181,36 @@ class PairTables:
 
     def pair(self, o: Hashable, p: Hashable) -> PairTable:
         """The pair table of orbit o on the left (conjugated) and p on the
-        right."""
+        right, over the operator pairs a <= b."""
         table = self._tables.get((o, p))
         if table is None:
             table = self._tables[(o, p)] = _join(self._index(o),
                                                  self._index(p))
         return table
 
+    def split(self, o: Hashable, p: Hashable) -> SplitTable:
+        """The pair table of (o, p) split by operator pair, with the bound
+        on its entries that sizes `_Gram`'s packed fields."""
+        split = self._splits.get((o, p))
+        if split is None:
+            table, dd = self.pair(o, p), self.d * self.d
+            pairs: Dict[int, List[Tuple[int, int, int]]] = {}
+            for key, (re, im) in table.items():
+                pair, cell = divmod(key, dd)
+                entries = pairs.get(pair)
+                if entries is None:
+                    pairs[pair] = [(cell, re, im)]
+                else:
+                    entries.append((cell, re, im))
+            bound = max(map(abs, chain.from_iterable(table.values())),
+                        default=0)
+            split = self._splits[(o, p)] = (bound, pairs)
+        return split
+
     def flips_couple(self, o: Hashable, p: Hashable) -> bool:
         """Whether the pair table of (o, p) holds an off-diagonal cell
-        (i != j) for two operators from {I, S(j,k)}; each table is scanned
-        once, whichever codes share it."""
+        (i != j) for two operators a <= b from {I, S(j,k)}; each table is
+        scanned once, whichever codes share it."""
         verdict = self._couples.get((o, p))
         if verdict is None:
             d, flips = self.d, self._flip_pairs
@@ -211,22 +245,27 @@ def flips_couple(code: Code, tables: PairTables) -> bool:
     meet at the {+2, -2} pattern under a relabeling
     (`combinatorics.is_effectively_sparse`).  Each of the k*k tables gives
     its verdict from `PairTables.flips_couple`, which scans it only once.
+    A table holds only a <= b, but a cell of (a, b) with a > b sits at
+    (j, i) of (b, a) in the table of (p, o), so the code's verdict is that
+    of every ordered operator pair.
     """
     keys = distinct_orbit_keys(code.support_representatives(), "code")
     return any(tables.flips_couple(ko, kp) for _, ko, kp in _orbit_pairs(keys))
 
 
 def _join(left: OrbitIndex, right: OrbitIndex) -> PairTable:
-    """sum_u <S_u|S_u> conj(a(u)) b(u) per element key, over the vectors u
-    the two orbits' images share."""
+    """sum_u <S_u|S_u> conj(a(u)) b(u) per element key with a <= b, over
+    the vectors u the two orbits' images share."""
     table: PairTable = {}
     for u in left.keys() & right.keys():
         norm = basis_norm(u)
         others = right[u]
-        for lkey, _, ra, ia in left[u]:
+        for lkey, _, floor, ra, ia in left[u]:
             ra *= norm
             ia *= norm
-            for _, rkey, rb, ib in others:
+            for _, rkey, _, rb, ib in others:
+                if rkey < floor:
+                    continue
                 re, im = ra * rb + ia * ib, ra * ib - ia * rb
                 acc = table.get(lkey + rkey)
                 if acc is None:
@@ -275,137 +314,154 @@ def _orbit_pairs(keys: Sequence[Hashable]
 
 
 class _Gram:
-    """Every <Ea i|Eb j> of one code, assembled from its pair tables.
+    """Every <Ea i|Eb j> of one code with a <= b, assembled from its pair
+    tables as one packed integer per element, its value class.
 
-    The k*k pair tables of the code's orbits give, per element key, the
-    flat vector sums[o][p] = (re, im) of Gaussian integers; an element is
-    then sum_{o,p} alpha_o alpha_p sums[o][p], so radicals enter once per
-    distinct sums vector, and a key in no table is a structural zero that
-    never reaches the arithmetic.  Elements share few sums vectors, so each
-    distinct one is evaluated (and decided zero or not) once per code.
-    Its projection onto the radicand rows of `_radicals`, a tuple of
-    integers, fixes the value exactly (distinct square-free radicands are
-    independent over Q): two elements are equal exactly when their
-    projections, their value classes, are, and the value itself is built
-    once per class and only when a report holds it (in float mode, also
-    when the tolerance needs it).
+    By `_radicals`, an element sum_{o,p} alpha_o alpha_p sums_op has real
+    and imaginary parts sum_r R_r sqrt(r) / D and sum_r I_r sqrt(r) / D
+    with integers R_r and I_r.  The class packs each R_r, then each I_r,
+    into a signed field sized from a bound on the code's table entries, so
+    no field carries into the next and the packing is one to one.  Distinct
+    square-free radicands are independent over Q, so an element is zero
+    exactly when its class is 0, and two elements are equal exactly when
+    their classes are.  A key in no table is a structural zero that never
+    reaches the arithmetic.  A class is decoded into its value once, and
+    only when a report holds it (in float mode, also when the tolerance
+    needs it).  Every basis element is Hermitian and every amplitude real,
+    so <j|Eb Ea|i> is the conjugate of <i|Ea Eb|j>: a check of a < b can
+    book (b, a) as well, from the conjugate classes.
     """
 
     def __init__(self, code: Code, level: str, mode: str, tolerance: float,
                  tables: PairTables):
         keys = distinct_orbit_keys(code.support_representatives(), "code")
         check_mode(mode, tolerance)
-        d = self.d = tables.d
+        self.d = tables.d
         self.n = len(tables.ops)
-        self.tables = tables
-        self.names = tables.names
+        self.name_pairs = tables.name_pairs
         self.report = KLReport(level, mode, tolerance)
         self.float_mode = mode == "float"
         self.zero: Amplitude = complex(0.0) if self.float_mode else ExactComplex.ZERO
-        self.denominator, self.radicals = _radicals(code)
-        # The class of zero, that of every structural zero.
-        self._zero_class = (0,) * (2 * len(self.radicals))
 
-        size = 2 * len(keys) ** 2
-        sums: Dict[int, List[int]] = {}
-        for slot, ko, kp in _orbit_pairs(keys):
-            for key, (re, im) in tables.pair(ko, kp).items():
-                acc = sums.get(key)
-                if acc is None:
-                    acc = sums[key] = [0] * size
-                acc[2 * slot] = re
-                acc[2 * slot + 1] = im
-        # Per operator pair a*n + b, each cell i*d + j that some image pair
-        # shares -> the id of its sums vector; `_classes[id]` is (value
-        # class, is zero) once evaluated, and `_values` maps a class to its
-        # value.  A cell absent from its pair's dict is a structural zero,
-        # and a pair absent from `cells` has no shared cell at all.
-        ids: Dict[tuple, int] = {}
+        slots = [(slot, tables.split(ko, kp))
+                 for slot, ko, kp in _orbit_pairs(keys)]
+        bound = max(split[0] for _, split in slots)
+        self.denominator, radicals = _radicals(code)
+        self.radicands = [r for r, _ in radicals]
+        # An entry (re, im) of slot (o, p) adds re * weight + im * (weight
+        # << span), where weight holds the slot's numerators, each shifted
+        # to its radicand's field.  |R_r| and |I_r| are at most bound * sum
+        # |numerators of r|; a field of width w holds -2**(w-1) ..
+        # 2**(w-1) - 1.
+        self.widths = [(bound * sum(map(abs, row))).bit_length() + 1
+                       for _, row in radicals]
+        self.span = sum(self.widths)
+        weights = [0] * len(slots)
+        shift = 0
+        for (_, row), width in zip(radicals, self.widths):
+            for slot, numerator in enumerate(row):
+                weights[slot] += numerator << shift
+            shift += width
+        # Per operator pair a*n + b (a <= b), each cell i*d + j that some
+        # image pair shares -> its class.  A cell absent from its pair's
+        # dict is a structural zero, and a pair absent from `cells` has no
+        # shared cell at all.
         self.cells: Dict[int, Dict[int, int]] = {}
-        for key, acc in sums.items():
-            pair, cell = divmod(key, d * d)
-            self.cells.setdefault(pair, {})[cell] = ids.setdefault(tuple(acc),
-                                                                   len(ids))
-        self._sums = list(ids)
-        self._classes: List[Optional[Tuple[tuple, bool]]] = [None] * len(ids)
-        self._values: Dict[tuple, Amplitude] = {self._zero_class: self.zero}
+        for slot, (_, pairs) in slots:
+            wr = weights[slot]
+            wi = wr << self.span
+            for pair, entries in pairs.items():
+                classes = self.cells.get(pair)
+                if classes is None:
+                    self.cells[pair] = {cell: re * wr + im * wi
+                                        for cell, re, im in entries}
+                else:
+                    get = classes.get
+                    for cell, re, im in entries:
+                        classes[cell] = get(cell, 0) + re * wr + im * wi
+        # Class -> value.  The class of zero, 0, is that of every
+        # structural zero.
+        self._values: Dict[int, Amplitude] = {0: self.zero}
 
-    def _project(self, sums: Sequence[int]) -> Tuple[int, ...]:
-        """The dot product of `sums` with each radicand's numerators: the
-        real or imaginary part of an element, sum_n alpha_o alpha_p *
-        sums[n] over the products n = (o, p), times the denominator."""
-        return tuple(sum(map(operator.mul, numerators, sums))
-                     for _, numerators in self.radicals)
-
-    def _combine(self, totals: Sequence[int]) -> RadicalSum:
-        return RadicalSum({r: Fraction(total, self.denominator)
-                           for (r, _), total in zip(self.radicals, totals)
-                           if total})
-
-    def _class(self, sid: int) -> Tuple[tuple, bool]:
-        """(value class, is zero) of the elements with sums id `sid`."""
-        known = self._classes[sid]
-        if known is None:
-            sums = self._sums[sid]
-            key = self._project(sums[0::2]) + self._project(sums[1::2])
-            zero = (abs(self._value(key)) <= self.report.tolerance
-                    if self.float_mode else not any(key))
-            known = self._classes[sid] = (key, zero)
-        return known
-
-    def _value(self, key: tuple) -> Amplitude:
-        """The value of class `key`.  Every basis element is Hermitian, so
+    def _value(self, cls: int) -> Amplitude:
+        """The value of class `cls`: its fields, low to high, are R_r and
+        then I_r per radicand r.  Every basis element is Hermitian, so
         <i|Ea Eb|j> is (Ea|i>, Eb|j>)."""
-        value = self._values.get(key)
+        value = self._values.get(cls)
         if value is None:
-            half = len(self.radicals)
-            value = ExactComplex(self._combine(key[:half]),
-                                 self._combine(key[half:]))
+            parts = []
+            rest = cls
+            for _ in range(2):
+                terms = {}
+                for r, width in zip(self.radicands, self.widths):
+                    half = 1 << (width - 1)
+                    total = (rest + half) % (half << 1) - half
+                    rest = (rest - total) >> width
+                    if total:
+                        terms[r] = Fraction(total, self.denominator)
+                parts.append(RadicalSum(terms))
+            value = ExactComplex(*parts)
             if self.float_mode:
                 value = value.to_complex()
-            self._values[key] = value
+            self._values[cls] = value
         return value
 
+    def _conjugate(self, cls: int) -> int:
+        """The class of the conjugate value: the real fields, low, are
+        kept and the imaginary ones, high, negated."""
+        if not cls:
+            return cls   # also when no radicand survives, and span is 0
+        half = 1 << (self.span - 1)
+        low = (cls + half) % (half << 1) - half
+        return 2 * low - cls
+
     def check(self, a: int, b: int, cells: AbstractSet[int], ref: int = 0,
-              vanish: bool = False) -> None:
+              vanish: bool = False, mirror: bool = False) -> None:
         """The one KL rule every level applies to an operator pair, given
-        by indices into the operator list.
+        by indices a <= b into the operator list.
 
         <ref|Ea Eb|ref> (ref a flat cell i*d + j) is recorded as the
         pair's constant, which must be zero when `vanish` is set; then each
         flat cell i*d + j in `cells` must vanish off the diagonal and equal
         the constant on it.  Only the cells the pair's images share are
-        visited; the rest are structural zeros.
+        visited; the rest are structural zeros.  With `mirror` set and
+        a < b, the pair (b, a) over the transposed cells is booked too:
+        the same counts, the conjugate constant, and each violation at
+        (j, i) with the conjugate value.  `cells` must then be closed under
+        transposition and `ref` on the diagonal.
         """
-        name = (self.names[a], self.names[b])
-        d = self.d
+        d, names = self.d, self.name_pairs
+        pair = a * self.n + b
+        mirrored = mirror and a != b
+        twins = 1 + mirrored
         report = self.report
-        report.checked_elements += 1 + len(cells)
-        ids = self.cells.get(a * self.n + b)
-        if ids is None:
+        report.checked_elements += twins * (1 + len(cells))
+        classes = self.cells.get(pair)
+        if classes is None:
             # No image pair shares a vector: every element is a structural
             # zero, so the constant is 0 and nothing is violated.
-            report.structural_zeros += 1 + len(cells)
-            report.constants[name] = self.zero
+            report.structural_zeros += twins * (1 + len(cells))
+            report.constants[names[pair]] = self.zero
+            if mirrored:
+                report.constants[names[b * self.n + a]] = self.zero
             return
-        cid = ids.get(ref)
-        if cid is None:
-            report.structural_zeros += 1
-            ckey, constant_zero = self._zero_class, True
-        else:
-            ckey, constant_zero = self._class(cid)
-            report.arithmetic_zeros += constant_zero
-        constant = report.constants[name] = self._value(ckey)
+        constant = classes.get(ref)
+        structural = constant is None
+        if structural:
+            constant = 0
+        float_mode, value, tolerance = (self.float_mode, self._value,
+                                        report.tolerance)
+        constant_zero = not constant or (
+            float_mode and abs(value(constant)) <= tolerance)
+        failures: List[Tuple[int, int]] = []   # (cell, class)
         if vanish and not constant_zero:
-            report.violations.append(Violation(*name, *divmod(ref, d),
-                                               constant))
-        classes, float_mode = self._classes, self.float_mode
+            failures.append((ref, constant))
         visited = zeros = 0
-        for cell, sid in ids.items():
+        for cell, cls in classes.items():
             if cell not in cells:
                 continue
             visited += 1
-            key, zero = classes[sid] or self._class(sid)
+            zero = not cls or (float_mode and abs(value(cls)) <= tolerance)
             zeros += zero
             # cell % (d + 1) is 0 exactly on the diagonal i == j, where the
             # element must equal the constant: exactly when the classes
@@ -413,34 +469,50 @@ class _Gram:
             if cell % (d + 1):
                 if zero:
                     continue
-            elif key == ckey or (float_mode and abs(
-                    self._value(key) - constant) <= report.tolerance):
+            elif cls == constant or (float_mode and abs(
+                    value(cls) - value(constant)) <= tolerance):
                 continue
-            report.violations.append(Violation(*name, *divmod(cell, d),
-                                               self._value(key)))
-        report.arithmetic_zeros += zeros
-        report.structural_zeros += len(cells) - visited
+            failures.append((cell, cls))
         if not constant_zero:
             # A diagonal structural zero is zero whatever the amplitudes,
             # so it violates a nonzero constant.
             for i in range(d):
                 cell = i * (d + 1)
-                if cell in cells and cell not in ids:
-                    report.violations.append(Violation(*name, i, i,
-                                                       self.zero))
+                if cell in cells and cell not in classes:
+                    failures.append((cell, 0))
+        report.arithmetic_zeros += twins * (
+            zeros + (constant_zero and not structural))
+        report.structural_zeros += twins * (len(cells) - visited + structural)
+        books = [(names[pair], constant, failures)]
+        if mirrored:
+            conjugate = self._conjugate
+            books.append((names[b * self.n + a], conjugate(constant),
+                          [(cell % d * d + cell // d, conjugate(cls))
+                           for cell, cls in failures]))
+        for name, constant, failures in books:
+            report.constants[name] = value(constant)
+            if failures:
+                report.violations.extend(
+                    Violation(*name, *divmod(cell, d), value(cls))
+                    for cell, cls in failures)
 
     def check_all_pairs(self) -> KLReport:
         """`check` of every cell but (0, 0) over all ordered operator
-        pairs.  A pair absent from `cells` is booked at once: its constant
-        is 0 and its d*d elements are structural zeros."""
+        pairs: each pair a <= b present in `cells`, with its mirror.  An
+        ordered pair absent from `cells` and from its mirror is booked at
+        once: its constant is 0 and its d*d elements are structural
+        zeros."""
         report = self.report
-        report.constants = dict.fromkeys(self.tables.name_pairs, self.zero)
-        absent = (self.n ** 2 - len(self.cells)) * self.d ** 2
+        report.constants = dict.fromkeys(self.name_pairs, self.zero)
+        n = self.n
+        # pair % (n + 1) is 0 exactly when a == b, a pair its own mirror.
+        shared = sum(1 if pair % (n + 1) == 0 else 2 for pair in self.cells)
+        absent = (n * n - shared) * self.d ** 2
         report.checked_elements += absent
         report.structural_zeros += absent
         cells = _cells_but_origin(self.d)
         for pair in sorted(self.cells):
-            self.check(*divmod(pair, self.n), cells)
+            self.check(*divmod(pair, n), cells, mirror=True)
         return report
 
 
@@ -479,12 +551,13 @@ def kl_reduced(code: Code, mode: str = "exact",
     off_diagonal = frozenset(cell for cell in range(d * d) if cell % (d + 1))
     for n in range(1, (d - 1) // 2 + 1):
         gram.check(identity, index[ErrorOperator("S", 0, n)], off_diagonal)
-    flips = [n for n, op in enumerate(basis) if op.kind in ("S", "A")]
-    pairs = [(ea, eb) for ea in flips for eb in flips] + [(identity, last)] + \
-        [(n, last) for n, op in enumerate(basis) if op.kind == "D"]
     cells = _cells_but_origin(d)
-    for ea, eb in pairs:
-        gram.check(ea, eb, cells)
+    # The flip pairs are closed under swap: each a <= b books its mirror.
+    flips = [n for n, op in enumerate(basis) if op.kind in ("S", "A")]
+    for ea, eb in combinations_with_replacement(flips, 2):
+        gram.check(ea, eb, cells, mirror=True)
+    for ea in [identity] + [n for n, op in enumerate(basis) if op.kind == "D"]:
+        gram.check(ea, last, cells)
     return gram.report
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import defaultdict
 from fractions import Fraction
 from importlib import resources
 
@@ -8,12 +9,15 @@ import pytest
 from quditcodes.arith import ExactComplex, InvalidInputError, RadicalSum
 from quditcodes.codes import (Code, OrbitAmplitude, code_from_json, codeword,
                               validate)
-from quditcodes.combinatorics import (iter_support_representatives,
+from quditcodes.combinatorics import (canonical_representative, cyclic_shift,
+                                      expand_orbit,
+                                      iter_support_representatives,
                                       support_is_sparse)
-from quditcodes.operators import basis_norm, error_basis
+from quditcodes.operators import basis_norm, error_basis, orbit_image
 from quditcodes.oracle import dense_kl
 from quditcodes.solver import (build_qf_system, family_code, search,
                                solve_system)
+from quditcodes import verifier
 from quditcodes.verifier import (PairTables, Violation, _Gram, flips_couple,
                                  kl_full, kl_reduced, qf_check, run_level)
 
@@ -112,67 +116,132 @@ def test_shared_tables_keep_each_codes_own_report(corpus):
 # the element loop against a plain loop over every cell
 
 
-def reference_check(gram, a, b, cells, ref=0, vanish=False):
-    """`_Gram.check` as a plain loop: every cell of the pair in turn, and
-    each diagonal agreement decided by subtracting the constant from the
-    value."""
-    d, report = gram.d, gram.report
-    name = (gram.names[a], gram.names[b])
-    ids = gram.cells.get(a * gram.n + b, {})
-
-    def is_zero(value):
-        if isinstance(value, ExactComplex):
-            return value.is_zero()
-        return abs(value) <= report.tolerance
-
-    def element(cell):
-        report.checked_elements += 1
-        sid = ids.get(cell)
-        if sid is None:
-            report.structural_zeros += 1
-            return gram.zero, True
-        value = gram._value(gram._class(sid)[0])
-        zero = is_zero(value)
-        report.arithmetic_zeros += zero
-        return value, zero
-
-    constant, constant_zero = element(ref)
-    report.constants[name] = constant
-    if vanish and not constant_zero:
-        report.violations.append(Violation(*name, *divmod(ref, d), constant))
-    for cell in sorted(cells):
-        i, j = divmod(cell, d)
-        value, zero = element(cell)
-        if i == j:
-            zero = is_zero(value - constant)
-        if not zero:
-            report.violations.append(Violation(*name, i, j, value))
+def unhalved_tables(code):
+    """Every ordered orbit pair's table over the whole error basis, both
+    halves kept: (o, p) -> {(a, b, i, j): (re, im)}, the sum of
+    basis_norm(u) * conj(A(u)) * B(u) over the vectors u that image a of
+    orbit o in code word i (A) and image b of orbit p in word j (B) share.
+    A pair of orbits that shares no vector has no entry."""
+    d = code.d
+    basis = error_basis(d)
+    index = defaultdict(list)   # u -> (orbit, operator, code word, coefficient)
+    for o, entry in enumerate(code.orbits):
+        members = expand_orbit(entry.representative)
+        for i in range(d):
+            word = [cyclic_shift(m, i) for m in members]
+            for a, op in enumerate(basis):
+                for u, z in orbit_image(op, word).items():
+                    index[u].append((o, a, i, z))
+    tables = defaultdict(dict)
+    for u, entries in index.items():
+        norm = basis_norm(u)
+        for o, a, i, (ra, ia) in entries:
+            for p, b, j, (rb, ib) in entries:
+                table = tables[o, p]
+                re, im = table.get((a, b, i, j), (0, 0))
+                table[a, b, i, j] = (re + norm * (ra * rb + ia * ib),
+                                     im + norm * (ra * ib - ia * rb))
+    return tables
 
 
-def reference_check_all_pairs(gram):
-    for a in range(gram.n):
-        for b in range(gram.n):
-            reference_check(gram, a, b, set(range(1, gram.d ** 2)))
-    return gram.report
+def reference_elements(code):
+    """(e, f, i, j) -> the exact <i|Ee Ef|j> of every element whose images
+    share a vector: sum_{o,p} alpha_o alpha_p table_op, in `RadicalSum`
+    arithmetic (every amplitude is real)."""
+    names = [op.name() for op in error_basis(code.d)]
+    alphas = [entry.amplitude for entry in code.orbits]
+    elements = {}
+    for (o, p), table in unhalved_tables(code).items():
+        product = alphas[o] * alphas[p]
+        for (a, b, i, j), (re, im) in table.items():
+            key = (names[a], names[b], i, j)
+            term = ExactComplex(product * re, product * im)
+            elements[key] = elements[key] + term if key in elements else term
+    return elements
+
+
+def reference_rule(elements):
+    """`_Gram.check` and `check_all_pairs` as plain loops over every cell
+    of every ordered operator pair, reading `elements` alone (never the
+    engine's tables or cells): a mirrored pair (b, a) is evaluated from its
+    own elements, and each diagonal agreement is decided by subtracting
+    the constant from the value."""
+
+    def check_pair(gram, a, b, cells, ref, vanish):
+        d, report = gram.d, gram.report
+        float_mode = report.mode == "float"
+        zero_value = complex(0.0) if float_mode else ExactComplex.ZERO
+        name = gram.name_pairs[a * gram.n + b]
+
+        def is_zero(value):
+            if isinstance(value, ExactComplex):
+                return value.is_zero()
+            return abs(value) <= report.tolerance
+
+        def element(cell):
+            report.checked_elements += 1
+            value = elements.get((*name, *divmod(cell, d)))
+            if value is None:
+                report.structural_zeros += 1
+                return zero_value, True
+            if float_mode:
+                value = value.to_complex()
+            zero = is_zero(value)
+            report.arithmetic_zeros += zero
+            return value, zero
+
+        constant, constant_zero = element(ref)
+        report.constants[name] = constant
+        if vanish and not constant_zero:
+            report.violations.append(Violation(*name, *divmod(ref, d),
+                                               constant))
+        for cell in sorted(cells):
+            i, j = divmod(cell, d)
+            value, zero = element(cell)
+            if i == j:
+                zero = is_zero(value - constant)
+            if not zero:
+                report.violations.append(Violation(*name, i, j, value))
+
+    def check(gram, a, b, cells, ref=0, vanish=False, mirror=False):
+        check_pair(gram, a, b, cells, ref, vanish)
+        if mirror and a != b:
+            check_pair(gram, b, a, cells, ref, vanish)
+
+    def check_all_pairs(gram):
+        cells = set(range(1, gram.d ** 2))
+        for a in range(gram.n):
+            for b in range(gram.n):
+                check_pair(gram, a, b, cells, 0, False)
+        return gram.report
+
+    return check, check_all_pairs
 
 
 LOOP_LEVELS = {"full": kl_full, "reduced": kl_reduced, "qf": qf_check}
 
 
 def assert_loop_matches_reference(monkeypatch, code, mode):
-    """Every level that accepts `code` gives the report of the plain loop,
-    and counts as checked but not structural exactly the cells its
-    operator pairs share (the only cells the engine visits)."""
+    """Every level that accepts `code` gives the report of the plain loop
+    over the reference elements, and counts as checked but not structural
+    exactly the cells its operator pairs share (the only cells the engine
+    visits), a mirrored pair's twice."""
+    elements = reference_elements(code)
+    shared = defaultdict(set)   # (e, f) -> the cells its images share
+    for e, f, i, j in elements:
+        shared[e, f].add(i * code.d + j)
     check = _Gram.check
     visits = []
 
-    def counted(gram, a, b, cells, ref=0, vanish=False):
-        ids = gram.cells.get(a * gram.n + b, {})
-        visits.append((ref in ids) + len(ids.keys() & cells))
-        check(gram, a, b, cells, ref, vanish)
+    def counted(gram, a, b, cells, ref=0, vanish=False, mirror=False):
+        for x, y in [(a, b), (b, a)] if mirror and a != b else [(a, b)]:
+            here = shared.get(gram.name_pairs[x * gram.n + y], set())
+            visits.append((ref in here) + len(here & cells))
+        check(gram, a, b, cells, ref, vanish, mirror)
 
+    reference_check, reference_check_all_pairs = reference_rule(elements)
     for level, run in LOOP_LEVELS.items():
-        if level == "qf" and not validate(code).passed:
+        if level == "qf" and not verifier.validate(code).passed:
             continue
         visits.clear()
         with monkeypatch.context() as patch:
@@ -243,6 +312,44 @@ def test_float_mode_agrees_within_tolerance_across_value_classes():
         (exact.checked_elements, exact.structural_zeros)
 
 
+def signed_c2():
+    """c2_d5_n16 with its second orbit's amplitude negated."""
+    data = json.loads(resources.files("quditcodes.data")
+                      .joinpath("c2_d5_n16.json").read_text())
+    data["orbits"][1]["amplitude"]["sign"] = -1
+    return code_from_json(data)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("variant", ["wide", "signed"])
+def test_packed_classes_hold_wide_and_signed_components(monkeypatch, corpus,
+                                                        variant, mode):
+    # A value class packs one signed field per radicand and part, each an
+    # integer over the denominator of `_radicals`.  "wide": 1/5 becomes
+    # (10^30 + 1) / (5 * 10^30), so some element's field needs more than
+    # 64 bits.  "signed": a negative amplitude gives numerators of both
+    # signs.  The wide variant is not normalized, so `validate` fails it
+    # and `qf_check` would refuse it; the test lets it through, so that
+    # the qf level's classes are compared too.
+    if variant == "wide":
+        code = perturbed_c2([10 ** 30 + 1, 5 * 10 ** 30])
+        assert not validate(code).passed
+        denominator = verifier._radicals(code)[0]
+        assert max(abs(c * denominator)
+                   for value in reference_elements(code).values()
+                   for part in (value.re, value.im)
+                   for c in part.terms.values()) > 2 ** 64
+        monkeypatch.setattr(verifier, "validate",
+                            lambda _: validate(corpus["c2_d5_n16"]))
+    else:
+        code = signed_c2()
+        numerators = [c for _, row in verifier._radicals(code)[1]
+                      for c in row]
+        assert min(numerators) < 0 < max(numerators)
+    assert verifier.validate(code).passed
+    assert_loop_matches_reference(monkeypatch, code, mode)
+
+
 # ---------------------------------------------------------------------------
 # flip coupling, read off the pair tables
 
@@ -270,6 +377,34 @@ def test_rows_decide_full_on_every_validated_solution(d, N, size, total,
     verdicts = [kl_full(code, _tables=tables).passed for code in codes]
     assert (len(codes), sum(verdicts)) == (total, passing)
     assert [not flips_couple(code, tables) for code in codes] == verdicts
+
+
+@pytest.mark.parametrize("source", ["shipped", (3, 16, 3), (5, 21, 3),
+                                    (5, 22, 3)],
+                         ids=["shipped", "3-16-3", "5-21-3", "5-22-3"])
+def test_pair_tables_are_the_upper_half_of_hermitian_tables(corpus, source):
+    # Each ordered orbit pair's unhalved table is the conjugate transpose
+    # of its mirror's, key for key, so `PairTables.pair` keeps only the
+    # operator pairs a <= b and the engine books the rest as mirrors.
+    codes = (list(corpus.values()) if source == "shipped"
+             else search(*source).codes)
+    assert codes
+    for code in codes:
+        d, k = code.d, len(code.orbits)
+        basis = error_basis(d)
+        n = len(basis)
+        unhalved = unhalved_tables(code)
+        tables = PairTables(d, basis)
+        keys = [canonical_representative(entry.representative)
+                for entry in code.orbits]
+        for o, p in itertools.product(range(k), repeat=2):
+            table = unhalved.get((o, p), {})
+            assert {(b, a, j, i): (re, -im)
+                    for (a, b, i, j), (re, im) in table.items()} == \
+                unhalved.get((p, o), {})
+            assert tables.pair(keys[o], keys[p]) == {
+                ((a * n + b) * d + i) * d + j: [re, im]
+                for (a, b, i, j), (re, im) in table.items() if a <= b}
 
 
 @pytest.mark.parametrize("d, N, coupled", [(3, 16, 241), (5, 17, 25)])
