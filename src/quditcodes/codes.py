@@ -1,6 +1,6 @@
 """Code data model, code-word generation, and structural validation.
 
-A code is specified by its logical-zero code word: one positive amplitude
+A code is specified by its logical-zero code word: one real amplitude
 per tail orbit of weight-zero occupation vectors with congruent tail
 entries.  The remaining code words are cyclic relabelings of the zero
 word, so the whole code is a (d, N, eta) header plus an orbit/amplitude
@@ -28,7 +28,7 @@ from .reptheory import is_valid_code_space
 @dataclass(frozen=True)
 class OrbitAmplitude:
     representative: OccupationVector
-    amplitude: RadicalSum  # positive real
+    amplitude: RadicalSum  # nonzero real; code files allow sign -1
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .arith import ExactComplex, InvalidInputError
-from .combinatorics import OccupationVector, basis_norm, cyclic_shift, weight
+from .combinatorics import (OccupationVector, basis_norm, check_occupation,
+                            cyclic_shift, weight)
 
 
 @dataclass(frozen=True)
@@ -219,18 +220,19 @@ def check_conjugation_identity(d: int, N: int, identity: str,
     operator's `orbit_image` of u.  The clock identity multiplies the term of
     S(j,k)|S_u> that gains at j by zeta**(k-j) and the other by
     zeta**(j-k): each term's weight drop from u must be that exponent.
+    Each basis vector must have length d and sum N (`check_occupation`).
     """
     if identity not in CONJUGATION_IDENTITIES:
         raise InvalidInputError(f"unknown identity {identity!r}")
     for u in basis_vectors:
-        u = tuple(u)
+        u = check_occupation(u, d, N)
         if identity == "z_dagger_s_z":
             j, k = indices if indices else (0, 1)
             op = ErrorOperator("S", j, k)
-            _check_fits(op, len(u))
+            _check_fits(op, d)
             for v, _, _ in generator_action(op, u):
-                expected = (k - j if v[j] > u[j] else j - k) % len(u)
-                if (weight(u) - weight(v)) % len(u) != expected:
+                expected = (k - j if v[j] > u[j] else j - k) % d
+                if (weight(u) - weight(v)) % d != expected:
                     return False, {"u": u, "branch": v,
                                    "expected_exponent": expected}
             continue
@@ -242,9 +244,9 @@ def check_conjugation_identity(d: int, N: int, identity: str,
         else:
             j, k = indices if indices else (1, 2)
             op = ErrorOperator("S" if identity == "x_dagger_s_x" else "A", j, k)
-        _check_fits(op, len(u))
+        _check_fits(op, d)
         image, sign = _decremented(op, d)
-        _check_fits(image, len(u))
+        _check_fits(image, d)
         lhs = orbit_image(op, [cyclic_shift(u, 1)]).items()
         rhs = orbit_image(image, [u]).items()
         if ({cyclic_shift(v, -1): z for v, z in lhs}

@@ -120,12 +120,12 @@ class KLReport:
 # orbit's images that hold it: a right part of operator b is at least
 # a*d*d exactly when b >= a.
 OrbitIndex = Dict[OccupationVector, List[Tuple[int, int, int, int, int]]]
-# Element key -> [re, im] of sum_u <S_u|S_u> conj(a(u)) b(u) over the
-# vectors u shared by the images of one ordered orbit pair, for a <= b.
-PairTable = Dict[int, List[int]]
-# A pair table split by operator pair a*n + b: the largest |re| or |im| of
-# its entries, and per pair the entries (cell i*d + j, re, im).
-SplitTable = Tuple[int, Dict[int, List[Tuple[int, int, int]]]]
+# One ordered orbit pair's sums over the operator pairs a <= b: the largest
+# |re| or |im| of its entries, whether flips couple two code words in it
+# (`flips_couple`), and per operator pair a*n + b the entries (cell i*d + j,
+# re, im), each re + i*im the sum_u <S_u|S_u> conj(a(u)) b(u) over the
+# vectors u the two images share.
+PairTable = Tuple[int, bool, Dict[int, List[Tuple[int, int, int]]]]
 
 
 class PairTables:
@@ -143,9 +143,9 @@ class PairTables:
     every table of a code is a structural zero.  Orbits are keyed by
     canonical representative and built from `orbit_image` on first use,
     unless `add_images` supplied them; `search` keeps one instance for the
-    length of a call, every other caller one per check.  Beside each
-    table, `flips_couple` keeps its flip-coupling verdict, and `split` the
-    layout `_Gram` reads, built on `_Gram`'s first read.
+    length of a call, every other caller one per check.  A table is
+    built once, in the layout `_Gram` reads, with its bound and the
+    flip-coupling verdict `flips_couple` reads.
     """
 
     def __init__(self, d: int, ops: Sequence[ErrorOperator]):
@@ -154,8 +154,6 @@ class PairTables:
         self.names = [op.name() for op in self.ops]
         self._indexes: Dict[Hashable, OrbitIndex] = {}
         self._tables: Dict[Tuple[Hashable, Hashable], PairTable] = {}
-        self._splits: Dict[Tuple[Hashable, Hashable], SplitTable] = {}
-        self._couples: Dict[Tuple[Hashable, Hashable], bool] = {}
 
     def add_images(self, key: Hashable,
                    images: Sequence[Sequence[OrbitImage]]) -> None:
@@ -184,40 +182,9 @@ class PairTables:
         right, over the operator pairs a <= b."""
         table = self._tables.get((o, p))
         if table is None:
-            table = self._tables[(o, p)] = _join(self._index(o),
-                                                 self._index(p))
+            table = self._tables[(o, p)] = _join(
+                self._index(o), self._index(p), self.d, self._flip_pairs)
         return table
-
-    def split(self, o: Hashable, p: Hashable) -> SplitTable:
-        """The pair table of (o, p) split by operator pair, with the bound
-        on its entries that sizes `_Gram`'s packed fields."""
-        split = self._splits.get((o, p))
-        if split is None:
-            table, dd = self.pair(o, p), self.d * self.d
-            pairs: Dict[int, List[Tuple[int, int, int]]] = {}
-            for key, (re, im) in table.items():
-                pair, cell = divmod(key, dd)
-                entries = pairs.get(pair)
-                if entries is None:
-                    pairs[pair] = [(cell, re, im)]
-                else:
-                    entries.append((cell, re, im))
-            bound = max(map(abs, chain.from_iterable(table.values())),
-                        default=0)
-            split = self._splits[(o, p)] = (bound, pairs)
-        return split
-
-    def flips_couple(self, o: Hashable, p: Hashable) -> bool:
-        """Whether the pair table of (o, p) holds an off-diagonal cell
-        (i != j) for two operators a <= b from {I, S(j,k)}; each table is
-        scanned once, whichever codes share it."""
-        verdict = self._couples.get((o, p))
-        if verdict is None:
-            d, flips = self.d, self._flip_pairs
-            verdict = self._couples[(o, p)] = any(
-                key // (d * d) in flips and key // d % d != key % d
-                for key in self.pair(o, p))
-        return verdict
 
     @cached_property
     def name_pairs(self) -> List[Tuple[str, str]]:
@@ -234,29 +201,37 @@ class PairTables:
 
 
 def flips_couple(code: Code, tables: PairTables) -> bool:
-    """Whether one of the code's ordered orbit-pair tables holds an
-    off-diagonal cell (i != j) for two operators from {I, S(j,k)}.
+    """Whether the code's amplitudes are positive and one of its ordered
+    orbit-pair tables holds an off-diagonal cell (i != j) for two
+    operators from {I, S(j,k)}.
 
-    Then `code` fails `kl_full` when its amplitudes are positive, as every
-    solved code's are: `generator_action` gives I and S positive integer
-    coefficients, so every term of that element <i|Ea Eb|j> is positive and
-    it cannot vanish.  `tables` must hold `error_basis(code.d)`.  On an
-    effectively sparse support such a cell exists exactly when two members
-    meet at the {+2, -2} pattern under a relabeling
-    (`combinatorics.is_effectively_sparse`).  Each of the k*k tables gives
-    its verdict from `PairTables.flips_couple`, which scans it only once.
-    A table holds only a <= b, but a cell of (a, b) with a > b sits at
-    (j, i) of (b, a) in the table of (p, o), so the code's verdict is that
-    of every ordered operator pair.
+    Then `code` fails `kl_full`: `generator_action` gives I and S positive
+    integer coefficients, so every term of that element <i|Ea Eb|j> is
+    positive and it cannot vanish.  Every solved code's amplitudes are
+    positive; a code with a zero amplitude or a term coefficient that is
+    not positive gets False, no verdict, and `kl_full` decides it.
+    `tables` must hold `error_basis(code.d)`.  On an effectively sparse
+    support such a cell exists exactly when two members meet at the {+2,
+    -2} pattern under a relabeling (`combinatorics.is_effectively_sparse`).
+    Each of the k*k tables carries its verdict, so a table shared by many
+    codes is scanned once.  A table holds only a <= b, but a cell of (a, b)
+    with a > b sits at (j, i) of (b, a) in the table of (p, o), so the
+    code's verdict is that of every ordered operator pair.
     """
     keys = distinct_orbit_keys(code.support_representatives(), "code")
-    return any(tables.flips_couple(ko, kp) for _, ko, kp in _orbit_pairs(keys))
+    if any(min(entry.amplitude.terms.values(), default=0) <= 0
+           for entry in code.orbits):
+        return False
+    return any(tables.pair(ko, kp)[1] for _, ko, kp in _orbit_pairs(keys))
 
 
-def _join(left: OrbitIndex, right: OrbitIndex) -> PairTable:
+def _join(left: OrbitIndex, right: OrbitIndex, d: int,
+          flips: AbstractSet[int]) -> PairTable:
     """sum_u <S_u|S_u> conj(a(u)) b(u) per element key with a <= b, over
-    the vectors u the two orbits' images share."""
-    table: PairTable = {}
+    the vectors u the two orbits' images share, grouped by operator pair;
+    with the bound on the sums and whether an operator pair in `flips`
+    holds an off-diagonal cell."""
+    sums: Dict[int, List[int]] = {}
     for u in left.keys() & right.keys():
         norm = basis_norm(u)
         others = right[u]
@@ -267,13 +242,25 @@ def _join(left: OrbitIndex, right: OrbitIndex) -> PairTable:
                 if rkey < floor:
                     continue
                 re, im = ra * rb + ia * ib, ra * ib - ia * rb
-                acc = table.get(lkey + rkey)
+                acc = sums.get(lkey + rkey)
                 if acc is None:
-                    table[lkey + rkey] = [re, im]
+                    sums[lkey + rkey] = [re, im]
                 else:
                     acc[0] += re
                     acc[1] += im
-    return table
+    pairs: Dict[int, List[Tuple[int, int, int]]] = {}
+    for key, (re, im) in sums.items():
+        pair, cell = divmod(key, d * d)
+        entries = pairs.get(pair)
+        if entries is None:
+            pairs[pair] = [(cell, re, im)]
+        else:
+            entries.append((cell, re, im))
+    bound = max(map(abs, chain.from_iterable(sums.values())), default=0)
+    # cell % (d + 1) is 0 exactly on the diagonal i == j.
+    couples = any(cell % (d + 1) for pair, entries in pairs.items()
+                  if pair in flips for cell, _, _ in entries)
+    return bound, couples, pairs
 
 
 def _radicals(code: Code) -> Tuple[int, List[Tuple[int, List[int]]]]:
@@ -343,9 +330,9 @@ class _Gram:
         self.float_mode = mode == "float"
         self.zero: Amplitude = complex(0.0) if self.float_mode else ExactComplex.ZERO
 
-        slots = [(slot, tables.split(ko, kp))
+        slots = [(slot, tables.pair(ko, kp))
                  for slot, ko, kp in _orbit_pairs(keys)]
-        bound = max(split[0] for _, split in slots)
+        bound = max(table[0] for _, table in slots)
         self.denominator, radicals = _radicals(code)
         self.radicands = [r for r, _ in radicals]
         # An entry (re, im) of slot (o, p) adds re * weight + im * (weight
@@ -367,7 +354,7 @@ class _Gram:
         # dict is a structural zero, and a pair absent from `cells` has no
         # shared cell at all.
         self.cells: Dict[int, Dict[int, int]] = {}
-        for slot, (_, pairs) in slots:
+        for slot, (_, _, pairs) in slots:
             wr = weights[slot]
             wi = wr << self.span
             for pair, entries in pairs.items():

@@ -216,11 +216,17 @@ def test_clock_identity_reads_generator_action(monkeypatch):
                                       (1, 3)) == (True, None)
 
     # The refusals, each raised per vector: an operator that does not fit
-    # len(u) (not the d argument), a phase index that leaves the basis
-    # range, and an unknown identity.
+    # d, a vector of another length or sum than (d, N), a phase index that
+    # leaves the basis range, and an unknown identity.
     with pytest.raises(InvalidInputError,
                        match=r"^operator S\(1,5\) does not fit d=5$"):
-        check_conjugation_identity(7, 7, "x_dagger_s_x", vectors, (1, 5))
+        check_conjugation_identity(5, 7, "x_dagger_s_x", vectors, (1, 5))
+    with pytest.raises(InvalidInputError, match="^expected length 7, got "):
+        check_conjugation_identity(7, 7, "x_dagger_s_x", vectors, (1, 2))
+    with pytest.raises(InvalidInputError,
+                       match=r"^\(1, 2, 0\) does not sum to 999$"):
+        check_conjugation_identity(3, 999, "x_dagger_s_x", [(1, 2, 0)],
+                                   (0, 1))
     with pytest.raises(InvalidInputError,
                        match="^shifted phase index leaves the basis range$"):
         check_conjugation_identity(5, 7, "x_dagger_d_x", vectors, (0, 0))

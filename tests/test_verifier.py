@@ -402,33 +402,65 @@ def test_pair_tables_are_the_upper_half_of_hermitian_tables(corpus, source):
             assert {(b, a, j, i): (re, -im)
                     for (a, b, i, j), (re, im) in table.items()} == \
                 unhalved.get((p, o), {})
-            assert tables.pair(keys[o], keys[p]) == {
-                ((a * n + b) * d + i) * d + j: [re, im]
-                for (a, b, i, j), (re, im) in table.items() if a <= b}
+            bound, _, pairs = tables.pair(keys[o], keys[p])
+            entries = [(a, b, *divmod(cell, d), re, im)
+                       for pair, listed in pairs.items()
+                       for a, b in [divmod(pair, n)]
+                       for cell, re, im in listed]
+            # Grouped by operator pair a*n + b, one entry per cell.
+            assert {(a, b, i, j): (re, im)
+                    for a, b, i, j, re, im in entries} == {
+                key: z for key, z in table.items() if key[0] <= key[1]}
+            assert len(entries) == len({entry[:4] for entry in entries})
+            assert all(listed for listed in pairs.values())
+            assert bound == max((abs(x) for *_, re, im in entries
+                                 for x in (re, im)), default=0)
 
 
 @pytest.mark.parametrize("d, N, coupled", [(3, 16, 241), (5, 17, 25)])
 def test_pair_flip_verdicts_match_a_rescan_of_the_table(d, N, coupled):
-    # `flips_couple` reads one verdict per ordered pair table, decided the
-    # first time the table is asked about; each must be what a scan of the
-    # table's keys ((a*n + b)*d + i)*d + j gives.
+    # Each pair table carries its flip-coupling verdict, decided when the
+    # table is built; each must be what a scan of the table's cells
+    # (a*n + b -> [(i*d + j, re, im)]) gives.
     tables = PairTables(d, error_basis(d))
     n = len(tables.ops)
     flips = {a for a, op in enumerate(tables.ops) if op.kind in ("I", "S")}
 
     def rescan(o, p):
-        for key in tables.pair(o, p):
-            rest, j = divmod(key, d)
-            pair, i = divmod(rest, d)
+        for pair, entries in tables.pair(o, p)[2].items():
             a, b = divmod(pair, n)
-            if a in flips and b in flips and i != j:
-                return True
+            for cell, _, _ in entries:
+                i, j = divmod(cell, d)
+                if a in flips and b in flips and i != j:
+                    return True
         return False
     reps = list(iter_support_representatives(d, N))
-    verdicts = [tables.flips_couple(o, p) for o in reps for p in reps]
+    verdicts = [tables.pair(o, p)[1] for o in reps for p in reps]
     assert verdicts == [rescan(o, p) for o in reps for p in reps]
-    assert verdicts == [tables.flips_couple(o, p) for o in reps for p in reps]
+    assert all(tables.pair(o, p) is tables.pair(o, p)
+               for o in reps for p in reps)
     assert sum(verdicts) == coupled
+
+
+def signed_qutrit13(o):
+    """qutrit13 with orbit o's amplitude negated."""
+    data = json.loads(resources.files("quditcodes.data")
+                      .joinpath("qutrit13.json").read_text())
+    data["orbits"][o]["amplitude"]["sign"] = -1
+    return code_from_json(data)
+
+
+@pytest.mark.parametrize("o", [0, 1, 2])
+def test_flips_couple_gives_no_verdict_without_positive_amplitudes(corpus, o):
+    # The verdict rests on every term of a coupled element being positive,
+    # so a negative amplitude (which code files allow) or a zero one gives
+    # False and leaves the code to `kl_full`.
+    tables = PairTables(3, error_basis(3))
+    assert flips_couple(corpus["qutrit13"], tables)
+    assert not flips_couple(signed_qutrit13(o), tables)
+    orbits = list(corpus["qutrit13"].orbits)
+    orbits[o] = OrbitAmplitude(orbits[o].representative, RadicalSum.zero())
+    assert not flips_couple(Code(3, 13, 1, tuple(orbits)), tables)
 
 
 def test_rows_decide_full_on_shipped_tampered_and_family_codes(corpus):
