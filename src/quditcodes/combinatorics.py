@@ -267,9 +267,15 @@ def _violation(u: OccupationVector, v: OccupationVector
                ) -> Optional[SparsityViolation]:
     """The first shift at which v is too close to u, if any."""
     for dist, delta, diffs in _shifts(u, v):
-        if dist == 2 or (dist == 4 and _pattern(diffs) != (-2, 2)):
+        if _too_close(dist, diffs):
             return SparsityViolation(u, v, delta, dist, _pattern(diffs))
     return None
+
+
+def _too_close(dist: int, diffs: List[int]) -> bool:
+    """The sparsity rule on one relabeling's differences `diffs`, of L1
+    norm `dist`: distance 2, or 4 with a pattern other than {+2, -2}."""
+    return dist == 2 or (dist == 4 and _pattern(diffs) != (-2, 2))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -281,14 +287,84 @@ def orbits_compatible(r: OccupationVector, s: OccupationVector) -> bool:
     its orbits, each one with itself too, is compatible: the test is
     pairwise over members, and symmetric, because swapping u and v negates
     the differences and {+2, -2} maps to itself.
+
+    The verdict reads only the two heads and the two tail multisets, so
+    its cost does not grow with the orbit sizes.  Every relabeling matches
+    the d values of u one to one with those of v, so when sorted(r) and
+    sorted(s) are more than 4 apart in L1 no member pair comes close.
+    Otherwise, since the members run over every tail arrangement, two
+    placements cover every member pair at every shift: at delta = 0 the
+    heads meet and the tails match freely; at any delta != 0 r's head
+    meets one tail value t of s, s's head one tail value w of r, and the
+    rest match freely.
     """
-    members = _orbit_members(s)
-    return not any(_violation(u, v) for u in _orbit_members(r)
-                   for v in members)
+    if sum(abs(x - y) for x, y in zip(sorted(r), sorted(s))) > 4:
+        return True
+    r0, s0 = r[0], s[0]
+    r_tail, s_tail = sorted(r[1:]), sorted(s[1:])
+    if _matching_too_close([r0 - s0], r_tail, s_tail):
+        return False
+    # A too-close relabeling moves no entry by more than 2.
+    return not any(
+        _matching_too_close([r0 - t, w - s0], _without(r_tail, w),
+                            _without(s_tail, t))
+        for t in set(s_tail) if abs(r0 - t) <= 2
+        for w in set(r_tail) if abs(w - s0) <= 2)
+
+
+def _matching_too_close(fixed: List[int], a: List[int], b: List[int]
+                        ) -> bool:
+    """Whether some one-to-one matching of the multisets a and b, with
+    the differences `fixed` beside its own, is `_too_close`.
+
+    Such a matching has at most 4 nonzero differences, each at most 2.  So
+    it is enough to match the m values of a that b lacks, plus at most
+    4 - m shared values, against b's m values that a lacks plus the same
+    shared values, and to leave every other value on its equal.  A shared
+    value that moves goes to a different value within 2 on each side.
+    """
+    only_a, only_b, shared = _multiset_split(a, b)
+    spare = 4 - len(only_a) - sum(1 for x in fixed if x)
+    if spare < 0:
+        return False
+    a_set, b_set = set(a), set(b)
+    movable = [x for x in shared
+               if any(x + e in a_set for e in (-2, -1, 1, 2))
+               and any(x + e in b_set for e in (-2, -1, 1, 2))]
+    for size in range(spare + 1):
+        for extra in set(itertools.combinations(movable, size)):
+            left = only_a + list(extra)
+            for right in set(itertools.permutations(only_b + list(extra))):
+                diffs = fixed + [x - y for x, y in zip(left, right)]
+                if _too_close(sum(map(abs, diffs)), diffs):
+                    return True
+    return False
+
+
+def _multiset_split(a: List[int], b: List[int]
+                    ) -> Tuple[List[int], List[int], List[int]]:
+    """(a - b, b - a, a & b) as multisets."""
+    only_a: List[int] = []
+    only_b = list(b)
+    shared: List[int] = []
+    for x in a:
+        if x in only_b:
+            only_b.remove(x)
+            shared.append(x)
+        else:
+            only_a.append(x)
+    return only_a, only_b, shared
+
+
+def _without(values: List[int], x: int) -> List[int]:
+    """`values` with one copy of x removed."""
+    i = values.index(x)
+    return values[:i] + values[i + 1:]
 
 
 def support_is_sparse(reps: Sequence[Sequence[int]]) -> bool:
-    """`is_effectively_sparse` of the orbits' members, from the pair table.
+    """`is_effectively_sparse` of the orbits' members, from the cached
+    pair verdicts of `orbits_compatible`, which expand no orbit.
 
     Gives the verdict only; `is_effectively_sparse` gives the witness.
     Each pair is asked for in sorted order, so that the cache holds one
@@ -302,7 +378,11 @@ def support_is_sparse(reps: Sequence[Sequence[int]]) -> bool:
 def sparsity_violation(reps: Sequence[Sequence[int]]
                        ) -> Optional[SparsityViolation]:
     """None when the orbits of `reps` form an effectively sparse support,
-    else the member-wise witness of `is_effectively_sparse`."""
+    else the member-wise witness of `is_effectively_sparse`.
+
+    The verdict is `support_is_sparse`'s; the members are walked only to
+    name the witness of a support that is not sparse.
+    """
     if support_is_sparse(reps):
         return None
     return is_effectively_sparse(m for rep in reps for m in expand_orbit(rep))[1]

@@ -2,15 +2,16 @@ import itertools
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.utilities.iterables import multiset_permutations as sympy_permutations
 
 from quditcodes.arith import InvalidInputError, RadicalSum
 from quditcodes.codes import Code, OrbitAmplitude, validate
-from quditcodes.combinatorics import (canonical_representative, check_occupation,
-                                      cyclic_shift, enumerate_supports,
-                                      expand_orbit, expand_support,
+from quditcodes.combinatorics import (_violation, canonical_representative,
+                                      check_occupation, cyclic_shift,
+                                      enumerate_supports, expand_orbit,
+                                      expand_support,
                                       is_effectively_sparse, is_eligible,
                                       iter_support_representatives,
                                       multiset_permutations, orbits_compatible,
@@ -214,6 +215,66 @@ def test_pair_table_matches_member_wise_predicate():
         for r in reps:
             for s in reps:
                 assert orbits_compatible(r, s) == orbits_compatible(s, r)
+
+
+def member_wise_compatible(r, s):
+    return not any(_violation(u, v) for u in expand_orbit(r)
+                   for v in expand_orbit(s))
+
+
+def test_pair_verdict_matches_member_wise_walk_exhaustively():
+    # Every unordered pair of eligible orbits at d = 3..9 and N <= 21, each
+    # orbit with itself too.  The count of incompatible pairs pins the rule
+    # that both sides share (`_too_close`).
+    pairs = [(r, s) for d in (3, 5, 7, 9) for N in range(1, 22)
+             for r, s in itertools.combinations_with_replacement(
+                 iter_support_representatives(d, N), 2)]
+    assert len(pairs) == 8647
+    verdicts = [orbits_compatible(r, s) for r, s in pairs]
+    assert [pair for pair, ok in zip(pairs, verdicts)
+            if ok != member_wise_compatible(*pair)] == []
+    assert verdicts.count(False) == 1780
+
+
+@st.composite
+def eligible_orbit_pairs(draw):
+    """Two eligible representatives at one (d, N) with d <= 9 and N = +-2
+    (mod d) or not, as drawn, each with its tail in a drawn order."""
+    d = draw(st.sampled_from((3, 5, 7, 9)))
+    near = draw(st.booleans())
+    N = draw(st.sampled_from([n for n in range(1, 41)
+                              if (n % d in (2, d - 2)) == near]))
+    reps = list(iter_support_representatives(d, N))
+
+    def arranged():
+        rep = draw(st.sampled_from(reps))
+        return rep[:1] + tuple(draw(st.permutations(rep[1:])))
+
+    return arranged(), arranged()
+
+
+@st.composite
+def any_orbit_pairs(draw):
+    """Two occupation vectors of one sum at d = 3 or 5, with small entries,
+    so that tails share values that lie within 2 of other values."""
+    d = draw(st.sampled_from((3, 5)))
+    r = draw(occupations(d, 3))
+    tail = draw(occupations(d - 1, 3))
+    assume(sum(tail) <= sum(r))
+    return r, (sum(r) - sum(tail),) + tail
+
+
+@given(st.one_of(eligible_orbit_pairs(), any_orbit_pairs()))
+@settings(max_examples=500, deadline=None)
+def test_pair_verdict_matches_member_wise_walk(pair):
+    assert orbits_compatible(*pair) == member_wise_compatible(*pair)
+
+
+def test_pair_verdict_keeps_the_repeated_flip_and_refuses_one_flip():
+    # (3,5,5) meets its own relabeling (5,3,5) at {+2, -2}, which is
+    # allowed; (2,3,3,3,3,3,3) is one flip from its own relabeling.
+    assert orbits_compatible((3, 5, 5), (3, 5, 5))
+    assert not orbits_compatible((2, 3, 3, 3, 3, 3, 3), (2, 3, 3, 3, 3, 3, 3))
 
 
 def test_non_sparse_support_keeps_its_witness():
