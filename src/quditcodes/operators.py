@@ -13,6 +13,10 @@ permutation-invariant basis these act combinatorially:
 where v moves one count from q to p and w one count from p to q, and a
 vector with a negative entry is the zero vector.  The A action is a
 derived formula; the dense-tensor oracle validates it exactly.
+`generator_action` is the reference copy of these formulas.  Two hot
+paths restate them, each tied to it by a test:
+`verifier.PairTables._index` (every image of an orbit, one sweep per code
+word) and `solver._qf_column` (closed forms for the qf columns).
 """
 
 from __future__ import annotations
@@ -107,9 +111,9 @@ def generator_action(op: ErrorOperator, u: OccupationVector
                      ) -> List[Tuple[OccupationVector, int, int]]:
     """op|S_u> as terms (v, re, im): |S_v> with coefficient re + i*im.
 
-    The one copy of the action formulas in the module docstring.  Each
-    coefficient is real (I, S, D) or imaginary (A), and zero coefficients
-    are left out.
+    The reference copy of the action formulas in the module docstring.
+    Each coefficient is real (I, S, D) or imaginary (A), and zero
+    coefficients are left out.
     """
     if op.kind == "I":
         return [(u, 1, 0)]

@@ -31,10 +31,10 @@ from typing import (AbstractSet, Dict, FrozenSet, Hashable, List, Optional,
 
 from .arith import ExactComplex, InvalidInputError, RadicalSum
 from .codes import Code, validate
-from .combinatorics import (OccupationVector, basis_norm, cyclic_shift,
-                            distinct_orbit_keys, expand_orbit)
+from .combinatorics import (OccupationVector, basis_norm, distinct_orbit_keys,
+                            expand_orbit)
 from .config import Config, check_mode, check_scale
-from .operators import ErrorOperator, OrbitImage, error_basis, orbit_image
+from .operators import ErrorOperator, OrbitImage, error_basis
 
 # Exact elements, or their complex values in float mode.
 Amplitude = Union[ExactComplex, complex]
@@ -141,11 +141,12 @@ class PairTables:
     every b > a as a mirror.  It records an element key whenever the two
     images share a vector, even when the sum is 0, so a key absent from
     every table of a code is a structural zero.  Orbits are keyed by
-    canonical representative and built from `orbit_image` on first use,
-    unless `add_images` supplied them; `search` keeps one instance for the
-    length of a call, every other caller one per check.  A table is
-    built once, in the layout `_Gram` reads, with its bound and the
-    flip-coupling verdict `flips_couple` reads.
+    canonical representative.  Each orbit's index is built on first use
+    by `_index`, in one sweep per code word over the orbit's members for
+    the whole operator list, unless `add_images` supplied it; `search`
+    keeps one instance for the length of a call, every other caller one
+    per check.  A table is built once, in the layout `_Gram` reads, with
+    its bound and the flip-coupling verdict `flips_couple` reads.
     """
 
     def __init__(self, d: int, ops: Sequence[ErrorOperator]):
@@ -170,11 +171,81 @@ class PairTables:
         self._indexes[key] = dict(index)
 
     def _index(self, rep: OccupationVector) -> OrbitIndex:
-        if rep not in self._indexes:
-            words = [[cyclic_shift(m, i) for m in expand_orbit(rep)]
-                     for i in range(self.d)]
-            self.add_images(rep, [[orbit_image(op, word) for word in words]
-                                  for op in self.ops])
+        """The index of the orbit of `rep`: what `add_images` builds from
+        `orbit_image(op, word)` for each operator and code word, entry for
+        entry and in the same order, built in one sweep per code word.
+
+        The sweep restates the action formulas of the `operators` module
+        docstring.  I and D(l) act on the member itself, D(l) with the
+        coefficient u_l - u_{l+1}, and a zero coefficient is dropped.  For
+        each pair (j, k) that S or A is taken over, each member makes one
+        bump per direction, and per target v it sums the gain-at-j part g
+        (each u_j + 1) and the gain-at-k part h (each u_k + 1).  S(j, k)
+        is then (g + h, 0) and A(j, k) is (0, h - g), dropped when h == g.
+        Any other kind acts as A does, as in `generator_action`.
+        """
+        if rep in self._indexes:
+            return self._indexes[rep]
+        d, n = self.d, len(self.ops)
+        # Word i's members, cyclic_shift(u, i) for each member u.
+        words = [[u[d - i:] + u[:d - i] for u in expand_orbit(rep)]
+                 for i in range(d)]
+        pairs = list(dict.fromkeys((op.j, op.k) for op in self.ops
+                                   if op.kind not in ("I", "D")))
+        # moved[(j, k)][i]: target v -> [g, h] over word i, each v in the
+        # order `orbit_image` first meets it.
+        moved = {pair: [] for pair in pairs}
+        for word in words:
+            sums = [{} for _ in pairs]
+            for u in word:
+                w = list(u)
+                for (j, k), targets in zip(pairs, sums):
+                    if u[k]:   # gains at j, loses at k
+                        w[j] += 1
+                        w[k] -= 1
+                        v = tuple(w)
+                        w[j] -= 1
+                        w[k] += 1
+                        z = targets.get(v)
+                        if z is None:
+                            targets[v] = [u[j] + 1, 0]
+                        else:
+                            z[0] += u[j] + 1
+                    if u[j]:   # gains at k, loses at j
+                        w[k] += 1
+                        w[j] -= 1
+                        v = tuple(w)
+                        w[k] -= 1
+                        w[j] += 1
+                        z = targets.get(v)
+                        if z is None:
+                            targets[v] = [0, u[k] + 1]
+                        else:
+                            z[1] += u[k] + 1
+            for pair, targets in zip(pairs, sums):
+                moved[pair].append(targets)
+        index: OrbitIndex = defaultdict(list)
+        for a, op in enumerate(self.ops):
+            floor = a * d * d
+            for i, word in enumerate(words):
+                left, right = (a * n * d + i) * d, floor + i
+                if op.kind == "I":
+                    for u in word:
+                        index[u].append((left, right, floor, 1, 0))
+                elif op.kind == "D":
+                    l = op.j
+                    for u in word:
+                        c = u[l] - u[l + 1]
+                        if c:
+                            index[u].append((left, right, floor, c, 0))
+                elif op.kind == "S":
+                    for v, (g, h) in moved[op.j, op.k][i].items():
+                        index[v].append((left, right, floor, g + h, 0))
+                else:
+                    for v, (g, h) in moved[op.j, op.k][i].items():
+                        if h != g:
+                            index[v].append((left, right, floor, 0, h - g))
+        self._indexes[rep] = dict(index)
         return self._indexes[rep]
 
     def pair(self, o: Hashable, p: Hashable) -> PairTable:

@@ -182,7 +182,8 @@ def column_from_generator_action(rep):
 def test_qf_columns_match_generator_action(d, N):
     # `_qf_column` keeps closed forms for D(d-2)'s eigenvalue and S(0,1)'s
     # image norm, since reading them through `generator_action` costs ten
-    # times as much; this ties the forms to the one copy of the action.
+    # times as much; this ties the forms to the reference copy of the
+    # action.
     reps = list(iter_support_representatives(d, N))
     assert reps
     for rep in reps:

@@ -5,6 +5,8 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quditcodes.arith import ExactComplex, InvalidInputError, RadicalSum
 from quditcodes.codes import (Code, OrbitAmplitude, code_from_json, codeword,
@@ -13,10 +15,11 @@ from quditcodes.combinatorics import (canonical_representative, cyclic_shift,
                                       expand_orbit,
                                       iter_support_representatives,
                                       support_is_sparse)
-from quditcodes.operators import basis_norm, error_basis, orbit_image
+from quditcodes.operators import (ErrorOperator, basis_norm, error_basis,
+                                  orbit_image)
 from quditcodes.oracle import dense_kl
-from quditcodes.solver import (build_qf_system, family_code, search,
-                               solve_system)
+from quditcodes.solver import (build_qf_system, family_code, family_support,
+                               search, solve_system)
 from quditcodes import verifier
 from quditcodes.verifier import (PairTables, Violation, _Gram, flips_couple,
                                  kl_full, kl_reduced, qf_check, run_level)
@@ -110,6 +113,106 @@ def test_shared_tables_keep_each_codes_own_report(corpus):
     assert reports_identical(first, kl_full(code))
     assert reports_identical(second, kl_full(tampered))
     assert not reports_identical(first, second)
+
+
+# ---------------------------------------------------------------------------
+# orbit indexes: one sweep per code word against `orbit_image`
+
+
+def reference_index(d, ops, rep):
+    """The index `add_images` builds from `orbit_image` of each operator
+    over each code word of the orbit of `rep`."""
+    tables = PairTables(d, ops)
+    words = [[cyclic_shift(m, i) for m in expand_orbit(rep)] for i in range(d)]
+    tables.add_images(rep, [[orbit_image(op, word) for word in words]
+                            for op in ops])
+    return tables._index(rep)
+
+
+def assert_index_matches_reference(d, ops, rep):
+    # Dict equality compares each vector's entries in order, (a, i) order;
+    # the vectors themselves come in the order the reference meets them.
+    index = PairTables(d, ops)._index(rep)
+    reference = reference_index(d, ops, rep)
+    assert index == reference, (d, rep)
+    assert list(index) == list(reference), (d, rep)
+
+
+def operator_lists(d):
+    """The error basis, qf's three operators, the basis with every A(j,k)
+    but no S(j,k), and the basis reversed."""
+    basis = error_basis(d)
+    return {"basis": basis,
+            "qf": [ErrorOperator("I"), ErrorOperator("D", d - 2),
+                   ErrorOperator("S", 0, 1)],
+            "no S": [op for op in basis if op.kind != "S"],
+            "reversed": basis[::-1]}
+
+
+@pytest.mark.parametrize("ops", ["basis", "qf", "no S", "reversed"])
+@pytest.mark.parametrize("d, N", [(3, 13), (3, 16), (5, 16), (5, 21), (5, 22),
+                                  (7, 20), (7, 27), (7, 36), (9, 29)])
+def test_orbit_index_matches_orbit_images_on_supports(d, N, ops):
+    reps = list(iter_support_representatives(d, N))
+    assert reps
+    for rep in reps:
+        assert_index_matches_reference(d, operator_lists(d)[ops], rep)
+
+
+@pytest.mark.parametrize("ops", ["basis", "qf", "no S", "reversed"])
+@pytest.mark.parametrize("d", [5, 7, 9, 11, 13])
+def test_orbit_index_matches_orbit_images_on_family_supports(d, ops):
+    for rep in family_support(d):
+        assert_index_matches_reference(d, operator_lists(d)[ops], rep)
+
+
+@st.composite
+def vectors_and_operators(draw):
+    """A vector at d = 3 or 5 with small entries, zeros allowed anywhere,
+    and a list drawn from the error basis, repeats and any order allowed."""
+    d = draw(st.sampled_from((3, 5)))
+    rep = tuple(draw(st.lists(st.integers(0, 4), min_size=d, max_size=d)))
+    ops = draw(st.lists(st.sampled_from(error_basis(d)), max_size=12))
+    return rep, ops
+
+
+@given(vectors_and_operators())
+@example(((0, 2, 0), error_basis(3)))
+@example(((3, 0, 2, 0, 1), error_basis(5)))
+@example(((0, 0, 0, 0, 0), error_basis(5)))
+@settings(max_examples=150, deadline=None)
+def test_orbit_index_matches_orbit_images_on_any_vector(drawn):
+    rep, ops = drawn
+    assert_index_matches_reference(len(rep), ops, rep)
+
+
+def test_orbit_index_keeps_a_repeated_operator():
+    # A repeated operator gets entries of its own at each position in the
+    # list, as `add_images` gives it.
+    s, a = ErrorOperator("S", 0, 2), ErrorOperator("A", 0, 2)
+    ops = [a, s, ErrorOperator("D", 1), a, ErrorOperator("I"), s,
+           ErrorOperator("D", 1)]
+    for rep in [(3, 5, 5), (4, 9, 0), (13, 0, 0)]:
+        assert_index_matches_reference(3, ops, rep)
+    index = PairTables(3, ops)._index((3, 5, 5))
+    assert {floor // 9 for entries in index.values()
+            for _, _, floor, _, _ in entries} == set(range(len(ops)))
+
+
+def test_orbit_index_drops_a_cancelled_mixed_flip():
+    # In code word 0 of the orbit of (0, 2, 0), (0, 1, 1) is reached from
+    # (0, 2, 0) gaining at 2 (h = 1) and from (0, 0, 2) gaining at 1
+    # (g = 1): S(1,2) gives 2 there and A(1,2) gives i(h - g) = 0, which
+    # `orbit_image` drops.
+    ops = [ErrorOperator("S", 1, 2), ErrorOperator("A", 1, 2)]
+    assert orbit_image(ops[1], [(0, 2, 0), (0, 0, 2)]) == {}
+    assert_index_matches_reference(3, ops, (0, 2, 0))
+    index = PairTables(3, ops)._index((0, 2, 0))
+    # Entry (left, right, floor, re, im) of operator a in code word i has
+    # right = a*d*d + i.  In words 1 and 2 one member reaches (0, 1, 1),
+    # so A(1,2) has entries there (right 10 and 11), but not in word 0.
+    assert [(right, re, im) for _, right, _, re, im in index[0, 1, 1]] == \
+        [(0, 2, 0), (1, 1, 0), (2, 1, 0), (10, 0, -1), (11, 0, 1)]
 
 
 # ---------------------------------------------------------------------------
