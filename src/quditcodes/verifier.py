@@ -9,13 +9,14 @@ difference alone and squared).  Level "qf" checks the three scalar
 quadratic forms that suffice for sparse doubly permutation-invariant
 codes.  All three levels evaluate their elements with one sparse Gram
 engine, assembled per code from amplitude-free orbit-pair tables
-(`PairTables`), and decide them by one rule, `_Gram.check`, so that each
-level is a short list of `check` calls.  The tables hold only operator
-pairs a <= b, and an element is one packed integer, its value class: the
-Gram matrix is Hermitian, so each check of a < b books the mirror (b, a)
-from the conjugate classes.  `flips_couple` finds on the same tables,
-without evaluating an element, codes whose positive amplitudes make them
-fail `kl_full`; `search` rejects on it before `kl_full` decides.
+(`PairTables`), and decide them by one rule, `_Gram.check`, which takes a
+batch of operator pairs: `full` is one `check` call, `reduced` three and
+`qf` two.  The tables hold only operator pairs a <= b, and an element is
+one packed integer, its value class: the Gram matrix is Hermitian, so
+each check of a < b books the mirror (b, a) from the conjugate classes.
+`flips_couple` finds on the same tables, without evaluating an element,
+codes whose positive amplitudes make them fail `kl_full`; `search`
+rejects on it before `kl_full` decides.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from typing import (AbstractSet, Dict, FrozenSet, Hashable, List, Optional,
@@ -38,6 +39,9 @@ from .operators import ErrorOperator, OrbitImage, error_basis
 
 # Exact elements, or their complex values in float mode.
 Amplitude = Union[ExactComplex, complex]
+# The zero element of each mode.
+_ZEROS: Dict[str, Amplitude] = {"exact": ExactComplex.ZERO,
+                               "float": complex(0.0)}
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,9 @@ class PairTables:
     the whole operator list, unless `add_images` supplied it; `search`
     keeps one instance for the length of a call, every other caller one
     per check.  A table is built once, in the layout `_Gram` reads, with
-    its bound and the flip-coupling verdict `flips_couple` reads.
+    its bound and the flip-coupling verdict `flips_couple` reads.  Per
+    mode it also keeps the zero constants of every ordered operator pair,
+    which `check_all_pairs` copies into each report.
     """
 
     def __init__(self, d: int, ops: Sequence[ErrorOperator]):
@@ -155,6 +161,7 @@ class PairTables:
         self.names = [op.name() for op in self.ops]
         self._indexes: Dict[Hashable, OrbitIndex] = {}
         self._tables: Dict[Tuple[Hashable, Hashable], PairTable] = {}
+        self._zero_constants: Dict[str, Dict[Tuple[str, str], Amplitude]] = {}
 
     def add_images(self, key: Hashable,
                    images: Sequence[Sequence[OrbitImage]]) -> None:
@@ -256,6 +263,15 @@ class PairTables:
             table = self._tables[(o, p)] = _join(
                 self._index(o), self._index(p), self.d, self._flip_pairs)
         return table
+
+    def zero_constants(self, mode: str) -> Dict[Tuple[str, str], Amplitude]:
+        """A fresh dict of every ordered name pair's constant, each the
+        zero of `mode`: a copy of one template per mode."""
+        template = self._zero_constants.get(mode)
+        if template is None:
+            template = self._zero_constants[mode] = dict.fromkeys(
+                self.name_pairs, _ZEROS[mode])
+        return template.copy()
 
     @cached_property
     def name_pairs(self) -> List[Tuple[str, str]]:
@@ -371,6 +387,41 @@ def _orbit_pairs(keys: Sequence[Hashable]
             for p, kp in enumerate(keys)]
 
 
+class _Values(dict):
+    """Class -> value for one code, each class decoded on its first read.
+
+    A class's fields, low to high, are R_r and then I_r per radicand r, of
+    the given widths, over the denominator (see `_Gram`).  Every basis
+    element is Hermitian, so <i|Ea Eb|j> is (Ea|i>, Eb|j>).  The class of
+    zero, 0, is that of every structural zero.
+    """
+
+    def __init__(self, fields: List[Tuple[int, int]], denominator: int,
+                 zero: Amplitude):
+        super().__init__({0: zero})
+        self.fields = fields   # (radicand, width) per radicand
+        self.denominator = denominator
+        self.float_mode = isinstance(zero, complex)
+
+    def __missing__(self, cls: int) -> Amplitude:
+        parts = []
+        rest = cls
+        for _ in range(2):
+            terms = {}
+            for r, width in self.fields:
+                half = 1 << (width - 1)
+                total = (rest + half) % (half << 1) - half
+                rest = (rest - total) >> width
+                if total:
+                    terms[r] = Fraction(total, self.denominator)
+            parts.append(RadicalSum(terms))
+        value = ExactComplex(*parts)
+        if self.float_mode:
+            value = value.to_complex()
+        self[cls] = value
+        return value
+
+
 class _Gram:
     """Every <Ea i|Eb j> of one code with a <= b, assembled from its pair
     tables as one packed integer per element, its value class.
@@ -387,7 +438,8 @@ class _Gram:
     only when a report holds it (in float mode, also when the tolerance
     needs it).  Every basis element is Hermitian and every amplitude real,
     so <j|Eb Ea|i> is the conjugate of <i|Ea Eb|j>: a check of a < b can
-    book (b, a) as well, from the conjugate classes.
+    book (b, a) as well, from the conjugate classes.  Each level is one to
+    three `check` calls, each over a batch of operator pairs.
     """
 
     def __init__(self, code: Code, level: str, mode: str, tolerance: float,
@@ -397,26 +449,26 @@ class _Gram:
         self.d = tables.d
         self.n = len(tables.ops)
         self.name_pairs = tables.name_pairs
+        self.tables = tables
         self.report = KLReport(level, mode, tolerance)
         self.float_mode = mode == "float"
-        self.zero: Amplitude = complex(0.0) if self.float_mode else ExactComplex.ZERO
+        self.zero = _ZEROS[mode]
 
         slots = [(slot, tables.pair(ko, kp))
                  for slot, ko, kp in _orbit_pairs(keys)]
         bound = max(table[0] for _, table in slots)
-        self.denominator, radicals = _radicals(code)
-        self.radicands = [r for r, _ in radicals]
+        denominator, radicals = _radicals(code)
         # An entry (re, im) of slot (o, p) adds re * weight + im * (weight
         # << span), where weight holds the slot's numerators, each shifted
         # to its radicand's field.  |R_r| and |I_r| are at most bound * sum
         # |numerators of r|; a field of width w holds -2**(w-1) ..
         # 2**(w-1) - 1.
-        self.widths = [(bound * sum(map(abs, row))).bit_length() + 1
-                       for _, row in radicals]
-        self.span = sum(self.widths)
+        widths = [(bound * sum(map(abs, row))).bit_length() + 1
+                  for _, row in radicals]
+        self.span = sum(widths)
         weights = [0] * len(slots)
         shift = 0
-        for (_, row), width in zip(radicals, self.widths):
+        for (_, row), width in zip(radicals, widths):
             for slot, numerator in enumerate(row):
                 weights[slot] += numerator << shift
             shift += width
@@ -430,39 +482,20 @@ class _Gram:
             wi = wr << self.span
             for pair, entries in pairs.items():
                 classes = self.cells.get(pair)
+                # An entry with im == 0 (every entry of two real operators)
+                # skips the product with the wide imaginary weight.
                 if classes is None:
-                    self.cells[pair] = {cell: re * wr + im * wi
-                                        for cell, re, im in entries}
+                    self.cells[pair] = {
+                        cell: re * wr + im * wi if im else re * wr
+                        for cell, re, im in entries}
                 else:
                     get = classes.get
                     for cell, re, im in entries:
-                        classes[cell] = get(cell, 0) + re * wr + im * wi
-        # Class -> value.  The class of zero, 0, is that of every
-        # structural zero.
-        self._values: Dict[int, Amplitude] = {0: self.zero}
-
-    def _value(self, cls: int) -> Amplitude:
-        """The value of class `cls`: its fields, low to high, are R_r and
-        then I_r per radicand r.  Every basis element is Hermitian, so
-        <i|Ea Eb|j> is (Ea|i>, Eb|j>)."""
-        value = self._values.get(cls)
-        if value is None:
-            parts = []
-            rest = cls
-            for _ in range(2):
-                terms = {}
-                for r, width in zip(self.radicands, self.widths):
-                    half = 1 << (width - 1)
-                    total = (rest + half) % (half << 1) - half
-                    rest = (rest - total) >> width
-                    if total:
-                        terms[r] = Fraction(total, self.denominator)
-                parts.append(RadicalSum(terms))
-            value = ExactComplex(*parts)
-            if self.float_mode:
-                value = value.to_complex()
-            self._values[cls] = value
-        return value
+                        classes[cell] = get(cell, 0) + (
+                            re * wr + im * wi if im else re * wr)
+        self.values = _Values([(r, width) for (r, _), width
+                               in zip(radicals, widths)],
+                              denominator, self.zero)
 
     def _conjugate(self, cls: int) -> int:
         """The class of the conjugate value: the real fields, low, are
@@ -473,10 +506,11 @@ class _Gram:
         low = (cls + half) % (half << 1) - half
         return 2 * low - cls
 
-    def check(self, a: int, b: int, cells: AbstractSet[int], ref: int = 0,
-              vanish: bool = False, mirror: bool = False) -> None:
-        """The one KL rule every level applies to an operator pair, given
-        by indices a <= b into the operator list.
+    def check(self, pairs: Sequence[int], cells: AbstractSet[int],
+              ref: int = 0, vanish: bool = False,
+              mirror: bool = False) -> None:
+        """The one KL rule every level applies, to each operator pair
+        a*n + b in `pairs` (a <= b, indices into the operator list).
 
         <ref|Ea Eb|ref> (ref a flat cell i*d + j) is recorded as the
         pair's constant, which must be zero when `vanish` is set; then each
@@ -486,94 +520,119 @@ class _Gram:
         a < b, the pair (b, a) over the transposed cells is booked too:
         the same counts, the conjugate constant, and each violation at
         (j, i) with the conjugate value.  `cells` must then be closed under
-        transposition and `ref` on the diagonal.
+        transposition and `ref` on the diagonal.  In exact mode a cell is
+        decided on its class alone; the tolerance is read in float mode
+        only.
         """
-        d, names = self.d, self.name_pairs
-        pair = a * self.n + b
-        mirrored = mirror and a != b
-        twins = 1 + mirrored
+        d, n, names = self.d, self.n, self.name_pairs
         report = self.report
-        report.checked_elements += twins * (1 + len(cells))
-        classes = self.cells.get(pair)
-        if classes is None:
-            # No image pair shares a vector: every element is a structural
-            # zero, so the constant is 0 and nothing is violated.
-            report.structural_zeros += twins * (1 + len(cells))
-            report.constants[names[pair]] = self.zero
-            if mirrored:
-                report.constants[names[b * self.n + a]] = self.zero
-            return
-        constant = classes.get(ref)
-        structural = constant is None
-        if structural:
-            constant = 0
-        float_mode, value, tolerance = (self.float_mode, self._value,
-                                        report.tolerance)
-        constant_zero = not constant or (
-            float_mode and abs(value(constant)) <= tolerance)
-        failures: List[Tuple[int, int]] = []   # (cell, class)
-        if vanish and not constant_zero:
-            failures.append((ref, constant))
-        visited = zeros = 0
-        for cell, cls in classes.items():
-            if cell not in cells:
+        constants, violations = report.constants, report.violations
+        float_mode, tolerance = self.float_mode, report.tolerance
+        values, conjugate = self.values, self._conjugate
+        zero_value = self.zero
+        pair_cells = self.cells
+        size = 1 + len(cells)
+        # cell % (d + 1) is 0 exactly on the diagonal i == j.
+        diagonal = frozenset(range(0, d * d, d + 1)) & cells
+        checked = structural_zeros = arithmetic_zeros = 0
+        for pair in pairs:
+            a, b = divmod(pair, n)
+            mirrored = mirror and a != b
+            twins = 1 + mirrored
+            checked += twins * size
+            classes = pair_cells.get(pair)
+            if classes is None:
+                # No image pair shares a vector: every element is a
+                # structural zero, so the constant is 0 and nothing is
+                # violated.
+                structural_zeros += twins * size
+                constants[names[pair]] = zero_value
+                if mirrored:
+                    constants[names[b * n + a]] = zero_value
                 continue
-            visited += 1
-            zero = not cls or (float_mode and abs(value(cls)) <= tolerance)
-            zeros += zero
-            # cell % (d + 1) is 0 exactly on the diagonal i == j, where the
-            # element must equal the constant: exactly when the classes
-            # are equal, or in float mode within the tolerance.
-            if cell % (d + 1):
-                if zero:
+            constant = classes.get(ref)
+            structural = constant is None
+            if structural:
+                constant = 0
+            constant_value = values[constant]
+            if float_mode:
+                constant_zero = abs(constant_value) <= tolerance
+            else:
+                constant_zero = not constant
+            failures: List[Tuple[int, int]] = []   # (cell, class)
+            if vanish and not constant_zero:
+                failures.append((ref, constant))
+            skipped = zeros = 0
+            for cell, cls in classes.items():
+                if cell not in cells:
+                    skipped += 1
                     continue
-            elif cls == constant or (float_mode and abs(
-                    value(cls) - value(constant)) <= tolerance):
-                continue
-            failures.append((cell, cls))
-        if not constant_zero:
-            # A diagonal structural zero is zero whatever the amplitudes,
-            # so it violates a nonzero constant.
-            for i in range(d):
-                cell = i * (d + 1)
-                if cell in cells and cell not in classes:
-                    failures.append((cell, 0))
-        report.arithmetic_zeros += twins * (
-            zeros + (constant_zero and not structural))
-        report.structural_zeros += twins * (len(cells) - visited + structural)
-        books = [(names[pair], constant, failures)]
-        if mirrored:
-            conjugate = self._conjugate
-            books.append((names[b * self.n + a], conjugate(constant),
-                          [(cell % d * d + cell // d, conjugate(cls))
-                           for cell, cls in failures]))
-        for name, constant, failures in books:
-            report.constants[name] = value(constant)
+                if float_mode:
+                    element = values[cls]
+                    zero = abs(element) <= tolerance
+                    # Off the diagonal the element must vanish, on it
+                    # equal the constant within the tolerance.
+                    if cell % (d + 1):
+                        fails = not zero
+                    else:
+                        fails = cls != constant and abs(
+                            element - constant_value) > tolerance
+                else:
+                    # Exact: zero exactly when the class is 0, equal to the
+                    # constant exactly when the classes are equal.
+                    zero = not cls
+                    fails = cls if cell % (d + 1) else cls != constant
+                if zero:
+                    zeros += 1
+                if fails:
+                    failures.append((cell, cls))
+            if not constant_zero and not classes.keys() >= diagonal:
+                # A diagonal structural zero is zero whatever the
+                # amplitudes, so it violates a nonzero constant.
+                failures.extend((cell, 0) for cell in sorted(diagonal)
+                                if cell not in classes)
+            visited = len(classes) - skipped
+            arithmetic_zeros += twins * (zeros + (constant_zero
+                                                  and not structural))
+            structural_zeros += twins * (len(cells) - visited + structural)
+            name = names[pair]
+            constants[name] = constant_value
             if failures:
-                report.violations.extend(
-                    Violation(*name, *divmod(cell, d), value(cls))
+                violations.extend(
+                    Violation(*name, *divmod(cell, d), values[cls])
                     for cell, cls in failures)
+            if mirrored:
+                name = names[b * n + a]
+                constants[name] = values[conjugate(constant)]
+                if failures:
+                    violations.extend(
+                        Violation(*name, cell % d, cell // d,
+                                  values[conjugate(cls)])
+                        for cell, cls in failures)
+        report.checked_elements += checked
+        report.structural_zeros += structural_zeros
+        report.arithmetic_zeros += arithmetic_zeros
 
     def check_all_pairs(self) -> KLReport:
         """`check` of every cell but (0, 0) over all ordered operator
-        pairs: each pair a <= b present in `cells`, with its mirror.  An
-        ordered pair absent from `cells` and from its mirror is booked at
-        once: its constant is 0 and its d*d elements are structural
-        zeros."""
+        pairs: one call over each pair a <= b present in `cells`, with its
+        mirror.  An ordered pair absent from `cells` and from its mirror
+        is booked at once: its constant is 0 (from the tables' template)
+        and its d*d elements are structural zeros."""
         report = self.report
-        report.constants = dict.fromkeys(self.name_pairs, self.zero)
+        report.constants = self.tables.zero_constants(report.mode)
         n = self.n
         # pair % (n + 1) is 0 exactly when a == b, a pair its own mirror.
         shared = sum(1 if pair % (n + 1) == 0 else 2 for pair in self.cells)
         absent = (n * n - shared) * self.d ** 2
         report.checked_elements += absent
         report.structural_zeros += absent
-        cells = _cells_but_origin(self.d)
-        for pair in sorted(self.cells):
-            self.check(*divmod(pair, n), cells, mirror=True)
+        self.check(sorted(self.cells), _cells_but_origin(self.d),
+                   mirror=True)
         return report
 
 
+@cache
 def _cells_but_origin(d: int) -> FrozenSet[int]:
     return frozenset(range(1, d * d))
 
@@ -603,19 +662,21 @@ def kl_reduced(code: Code, mode: str = "exact",
     check_scale(code.d, code.N, max_d, max_n)
     d = code.d
     basis = error_basis(d)
-    index = {op: n for n, op in enumerate(basis)}
+    n = len(basis)
+    index = {op: a for a, op in enumerate(basis)}
     gram = _Gram(code, "reduced", mode, tolerance, PairTables(d, basis))
     identity, last = index[ErrorOperator("I")], index[ErrorOperator("D", d - 2)]
     off_diagonal = frozenset(cell for cell in range(d * d) if cell % (d + 1))
-    for n in range(1, (d - 1) // 2 + 1):
-        gram.check(identity, index[ErrorOperator("S", 0, n)], off_diagonal)
+    singles = [index[ErrorOperator("S", 0, m)]
+               for m in range(1, (d - 1) // 2 + 1)]
+    gram.check([identity * n + b for b in singles], off_diagonal)
     cells = _cells_but_origin(d)
     # The flip pairs are closed under swap: each a <= b books its mirror.
-    flips = [n for n, op in enumerate(basis) if op.kind in ("S", "A")]
-    for ea, eb in combinations_with_replacement(flips, 2):
-        gram.check(ea, eb, cells, mirror=True)
-    for ea in [identity] + [n for n, op in enumerate(basis) if op.kind == "D"]:
-        gram.check(ea, last, cells)
+    flips = [a for a, op in enumerate(basis) if op.kind in ("S", "A")]
+    gram.check([a * n + b for a, b in combinations_with_replacement(flips, 2)],
+               cells, mirror=True)
+    phases = [identity] + [a for a, op in enumerate(basis) if op.kind == "D"]
+    gram.check([a * n + last for a in phases], cells)
     return gram.report
 
 
@@ -638,9 +699,8 @@ def qf_check(code: Code, mode: str = "exact",
     gram = _Gram(code, "qf", mode, tolerance, PairTables(d, ops))
     identity, last, flip = range(3)
     corner = d * d - 1  # the cell (d-1, d-1)
-    gram.check(identity, last, frozenset(), ref=corner, vanish=True)
-    gram.check(last, last, {corner})
-    gram.check(flip, flip, {corner})
+    gram.check([identity * 3 + last], frozenset(), ref=corner, vanish=True)
+    gram.check([last * 3 + last, flip * 3 + flip], {corner})
     return gram.report
 
 

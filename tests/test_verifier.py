@@ -306,10 +306,12 @@ def reference_rule(elements):
             if not zero:
                 report.violations.append(Violation(*name, i, j, value))
 
-    def check(gram, a, b, cells, ref=0, vanish=False, mirror=False):
-        check_pair(gram, a, b, cells, ref, vanish)
-        if mirror and a != b:
-            check_pair(gram, b, a, cells, ref, vanish)
+    def check(gram, pairs, cells, ref=0, vanish=False, mirror=False):
+        for pair in pairs:
+            a, b = divmod(pair, gram.n)
+            check_pair(gram, a, b, cells, ref, vanish)
+            if mirror and a != b:
+                check_pair(gram, b, a, cells, ref, vanish)
 
     def check_all_pairs(gram):
         cells = set(range(1, gram.d ** 2))
@@ -336,11 +338,13 @@ def assert_loop_matches_reference(monkeypatch, code, mode):
     check = _Gram.check
     visits = []
 
-    def counted(gram, a, b, cells, ref=0, vanish=False, mirror=False):
-        for x, y in [(a, b), (b, a)] if mirror and a != b else [(a, b)]:
-            here = shared.get(gram.name_pairs[x * gram.n + y], set())
-            visits.append((ref in here) + len(here & cells))
-        check(gram, a, b, cells, ref, vanish, mirror)
+    def counted(gram, pairs, cells, ref=0, vanish=False, mirror=False):
+        for pair in pairs:
+            a, b = divmod(pair, gram.n)
+            for x, y in [(a, b), (b, a)] if mirror and a != b else [(a, b)]:
+                here = shared.get(gram.name_pairs[x * gram.n + y], set())
+                visits.append((ref in here) + len(here & cells))
+        check(gram, pairs, cells, ref, vanish, mirror)
 
     reference_check, reference_check_all_pairs = reference_rule(elements)
     for level, run in LOOP_LEVELS.items():
@@ -451,6 +455,123 @@ def test_packed_classes_hold_wide_and_signed_components(monkeypatch, corpus,
         assert min(numerators) < 0 < max(numerators)
     assert verifier.validate(code).passed
     assert_loop_matches_reference(monkeypatch, code, mode)
+
+
+def assert_shared_full_matches_reference(monkeypatch, codes, mode):
+    """`kl_full` over one `PairTables` shared by `codes`, as `search` runs
+    it, gives each code the report of the plain loop over its reference
+    elements, and counts as checked but not structural exactly the
+    elements whose images share a vector (its constants and cells cover
+    every cell of every ordered operator pair)."""
+    d = codes[0].d
+    tables = PairTables(d, error_basis(d))
+    for code in codes:
+        elements = reference_elements(code)
+        report = kl_full(code, mode, _tables=tables)
+        assert report.checked_elements - report.structural_zeros == \
+            len(elements), (code, mode)
+        reference_check, reference_check_all_pairs = reference_rule(elements)
+        with monkeypatch.context() as patch:
+            patch.setattr(_Gram, "check", reference_check)
+            patch.setattr(_Gram, "check_all_pairs", reference_check_all_pairs)
+            reference = kl_full(code, mode, _tables=tables)
+        assert reports_identical(report, reference), (code, mode)
+
+
+class _Enough(Exception):
+    pass
+
+
+def flip_rejected_codes(d, N, k, count):
+    """The first `count` distinct codes that `search(d, N, k)` solves and
+    `flips_couple` rejects."""
+    tables = PairTables(d, error_basis(d))
+    rejected = []
+
+    def verify(code):
+        if flips_couple(code, tables):
+            rejected.append(code)
+            if len(rejected) == count:
+                raise _Enough
+        return False
+
+    with pytest.raises(_Enough):
+        search(d, N, k, verify=verify)
+    return rejected
+
+
+def doubled(code):
+    """`code` with its first orbit's amplitude doubled."""
+    first = code.orbits[0]
+    return Code(code.d, code.N, code.eta, (
+        OrbitAmplitude(first.representative, first.amplitude * 2),
+        *code.orbits[1:]))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("variant", ["accepted", "doubled"])
+@pytest.mark.parametrize("d, N", [(3, 16), (5, 21)])
+def test_shared_tables_match_reference_on_search_codes(monkeypatch, d, N,
+                                                       variant, mode):
+    # Every code `search` accepts, and the same code with one amplitude
+    # doubled: then some diagonal element leaves its constant.
+    codes = search(d, N, 3).codes
+    assert codes
+    if variant == "doubled":
+        codes = [doubled(code) for code in codes]
+        assert all(any(v.i == v.j for v in kl_full(code).violations)
+                   for code in codes)
+    assert_shared_full_matches_reference(monkeypatch, codes, mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_shared_tables_match_reference_on_flip_rejected_codes(monkeypatch,
+                                                              mode):
+    # `search` never hands these to `kl_full`: their flips couple two code
+    # words, so they have off-diagonal violations, mirrored ones included.
+    codes = flip_rejected_codes(5, 27, 3, 10)
+    assert len(set(codes)) == 10
+    assert codes[0].support_representatives() == (
+        (0, 8, 8, 8, 3), (0, 13, 8, 3, 3), (8, 11, 6, 1, 1))
+    violations = kl_full(codes[0]).violations
+    assert len(violations) == 80 and all(v.i != v.j for v in violations)
+    assert_shared_full_matches_reference(monkeypatch, codes, mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_shared_tables_match_reference_on_diagonal_structural_zeros(
+        monkeypatch, corpus, mode):
+    # Search codes hold every diagonal cell of a pair or none; one_orbit's
+    # (D(0), D(0)) has a nonzero constant and diagonal structural zeros.
+    one_orbit = loop_code(corpus, "one_orbit")
+    codes = [one_orbit, corpus["qutrit13"], loop_code(corpus, "tampered"),
+             one_orbit]
+    assert_shared_full_matches_reference(monkeypatch, codes, mode)
+
+
+def test_reports_from_shared_tables_hold_their_own_constants(corpus):
+    # `check_all_pairs` starts each report's constants from a copy of the
+    # tables' zero template for its mode, so writing into one report
+    # leaves every other report, and the next one, as they were.
+    code = corpus["qutrit13"]
+    fresh = {mode: kl_full(code, mode) for mode in ("exact", "float")}
+    tables = PairTables(3, error_basis(3))
+    reports = {mode: kl_full(code, mode, _tables=tables)
+               for mode in ("exact", "float")}
+    assert reports["exact"].constants is not reports["float"].constants
+    # (I, S(0,1)) shares no cell in qutrit13, so its constant is the
+    # template's zero.
+    absent = ("I", "S(0,1)")
+    assert fresh["exact"].constants[absent].is_zero()
+    for written, other in [("exact", "float"), ("float", "exact")]:
+        constants = reports[written].constants
+        constants[absent] = constants.pop(("I", "I"))
+        constants[("X", "Y")] = constants[absent]
+        if written == "exact":
+            assert reports_identical(reports[other], fresh[other])
+        for mode in ("exact", "float"):
+            assert reports_identical(kl_full(code, mode, _tables=tables),
+                                     fresh[mode]), (written, mode)
 
 
 # ---------------------------------------------------------------------------
